@@ -31,7 +31,7 @@ from .limits import (
     pointwise_gradient_limit_sweep,
     seminorm_limit_sweep,
 )
-from .operators import frac_derivative_p
+from .operators import _frac_derivative_schedule
 from .quadrature import QuadratureSpec, default_spec, fast_spec, high_spec
 
 CSV_COLUMNS = (
@@ -87,7 +87,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def make_field(self):
-        return make_field(self.field_name, self.dimension, self.field_params)
+        try:
+            return make_field(self.field_name, self.dimension, self.field_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field 'field': {exc}") from exc
 
 
 def _reject_unknown(mapping, allowed, context):
@@ -129,9 +132,12 @@ def parse_config(path, quad_preset=None):
         if not isinstance(pt, list) or len(pt) != n:
             raise ConfigError(f"field 'points[{i}]': expected a list of {n} numbers")
         try:
-            points.append(tuple(float(c) for c in pt))
+            coords = tuple(float(c) for c in pt)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'points[{i}]': {exc}") from exc
+        if not all(math.isfinite(c) for c in coords):
+            raise ConfigError(f"field 'points[{i}]': coordinates must be finite, got {pt!r}")
+        points.append(coords)
 
     sched_raw = doc.get("schedule")
     if sched_raw is None:
@@ -327,11 +333,8 @@ def _run_eval(cfg, threads):
     quad = cfg.quadrature
 
     def one(point):
-        out = []
-        for a in cfg.schedule.values:
-            ov = frac_derivative_p(f, a, cfg.p, np.array(point), quad)
-            out.append((a, point, ov))
-        return out
+        values = _frac_derivative_schedule(f, cfg.schedule.values, cfg.p, np.array(point), quad)
+        return [(a, point, ov) for a, ov in zip(cfg.schedule.values, values)]
 
     results = _map_ordered(one, list(cfg.points), threads)
     rows, cases, bad = [], [], 0
@@ -575,7 +578,11 @@ def main(argv=None):
         return 2
     if cfg.mode != args.command:
         cfg = RunConfig(**{**cfg.__dict__, "mode": args.command})
-    return run(cfg, threads=max(1, args.threads), out_dir=args.out)
+    try:
+        return run(cfg, threads=max(1, args.threads), out_dir=args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -330,9 +330,28 @@ def w11_norms(f, spec):
 # ---------------------------------------------------------------------------
 
 
+_CATALOG_PARAMS = {
+    "bump": ("center", "scale"),
+    "poly_bump": ("k", "center", "scale"),
+    "modulated_bump": ("wavevector", "base"),
+    "zero": (),
+}
+
+
 def make_field(name, dim, params=None):
-    """Instantiate a catalog field by name, as addressed from run configs."""
+    """Instantiate a catalog field by name, as addressed from run configs.
+
+    Raises ValueError for an unknown name or a parameter the entry does not
+    take.
+    """
+    if name not in _CATALOG_PARAMS:
+        raise ValueError(
+            f"unknown catalog field {name!r}; expected one of {sorted(_CATALOG_PARAMS)}"
+        )
     params = dict(params or {})
+    unknown = sorted(set(params) - set(_CATALOG_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {unknown} for catalog field {name!r}")
     if name == "bump":
         return bump(dim, center=params.pop("center", None), scale=params.pop("scale", 1.0))
     if name == "poly_bump":
@@ -347,9 +366,7 @@ def make_field(name, dim, params=None):
         base = params.pop("base", None)
         base_field = make_field(base["name"], dim, base.get("params")) if base else None
         return modulated_bump(dim, wave, base=base_field)
-    if name == "zero":
-        return zero_field(dim)
-    raise ValueError(f"unknown catalog field {name!r}")
+    return zero_field(dim)
 
 
 def standard_catalog(n):

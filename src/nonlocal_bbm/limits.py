@@ -11,9 +11,9 @@ import numpy as np
 from .constants import bbm_constant, bbm_constant_p, check_dimension, sphere_area
 from .fields import w11_norms
 from .operators import (
+    _frac_derivative_schedule,
     bbm_operator,
     bbm_operator_p,
-    frac_derivative,
     gagliardo_seminorm,
     riesz_of_gradient,
 )
@@ -150,8 +150,8 @@ def pointwise_gradient_limit_sweep(f, x, schedule, spec):
     Kn = bbm_constant(n, allow_dim_one=True)
     target = Kn * float(np.linalg.norm(f.grad(x[None, :])[0]))
     rows = []
-    for a in schedule.values:
-        dv = frac_derivative(f, a, x, spec)
+    values = _frac_derivative_schedule(f, schedule.values, 1.0, x, spec)
+    for a, dv in zip(schedule.values, values):
         scaled = type(dv)(
             value=(1.0 - a) * dv.value,
             error_estimate=(1.0 - a) * dv.error_estimate,
@@ -271,11 +271,11 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
     suprema = {}
 
     pointwise_rhs = sigma * (f.grad_sup_norm + 2.0 * f.sup_norm)
-    for a in schedule.values:
-        if a < 0.5:
-            continue
-        for x in pts:
-            dv = frac_derivative(f, a, x, spec)
+    bound_alphas = tuple(a for a in schedule.values if a >= 0.5)
+    per_point = [_frac_derivative_schedule(f, bound_alphas, 1.0, x, spec) for x in pts]
+    for k, a in enumerate(bound_alphas):
+        for x, values in zip(pts, per_point):
+            dv = values[k]
             lhs = (1.0 - a) * dv.value
             err = (1.0 - a) * dv.error_estimate
             ok = lhs <= pointwise_rhs + eps_slack * err

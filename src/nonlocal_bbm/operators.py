@@ -9,6 +9,13 @@ dyadic shell ladder, and an analytic tail where the field vanishes or its
 decay envelope is known.  Error estimates are a-posteriori: the difference
 against a half-resolution run, plus the hard analytic bounds for core and
 tail substitutions.
+
+The inner D^alpha engine takes a tuple of alphas.  The quadrature nodes
+depend only on the spec and the evaluation point, so all alphas of a sweep
+share one field evaluation per node and differ only in their radial weights
+and in the closed-form core and tail.  Its chunking and reduction order are
+set by the spec alone, which makes a point's value independent of the batch
+it was evaluated in.
 """
 
 import math
@@ -107,51 +114,102 @@ def _offset_chunks(r, w, rule, radial_power, max_points):
 # ---------------------------------------------------------------------------
 
 
-def _dalpha_integral_batch(f, alpha, X, spec, p=1.0, r_max=None, with_tail=True):
-    """Batched integral int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy (before the
-    1/p root) for points X of shape (M, n).
+def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None, with_tail=True):
+    """Batched integrals int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy (before the
+    1/p root) for points X of shape (M, n) and every alpha of ``alphas``.
 
-    Returns (values, hard_error_bounds).  The Taylor core below the innermost
-    shell uses the surrogate |grad f(x) . h|^p, whose radial integral is
-    exact; its remainder is bounded through the Hessian sup norm.
+    Returns (values, hard_error_bounds), each of shape (M, A).  The Taylor
+    core below the innermost shell uses the surrogate |grad f(x) . h|^p,
+    whose radial integral is exact; its remainder is bounded through the
+    Hessian sup norm.
+
+    The alphas share the quadrature nodes: |f(x)-f(y)|^p is evaluated once
+    per node, contracted with the sphere weights, and only then with one
+    radial weight column r^{-1-alpha p} per alpha.  Chunks are one dyadic
+    panel of ``gauss_order`` radii by a block of points whose size the spec
+    alone sets, and every reduction is an element-wise sum in a fixed order,
+    so a row's values depend neither on the other rows of X nor on A.
     """
     n = f.dim
     M = X.shape[0]
     rule = build_sphere_rule(n, spec.sphere_order)
     sigma = sphere_area(n)
     R0 = f.support_radius
-    ap = alpha * p
+    G = spec.gauss_order
     if r_max is None:
         R_big = max(1.0, float(np.max(np.linalg.norm(X, axis=1))) + R0 + 1.0)
     else:
         R_big = float(r_max)
     delta = 2.0**-spec.inner_shells
+    ap = [a * p for a in alphas]
+    q = [p * (1.0 - a) for a in alphas]
 
     fx = f.eval(X)
     gX = f.grad(X)
     gnorm = np.linalg.norm(gX, axis=1)
-
-    # analytic core on (0, delta): |grad f(x).h|^p integrates in closed form
-    s_lin = np.abs(gX @ rule.nodes.T) ** p @ rule.weights
-    q = p * (1.0 - alpha)
-    core = s_lin * delta**q / q
     H = f.hess_sup_norm
     core_err = (
-        sigma * p * (gnorm + 0.5 * H * delta) ** (p - 1.0)
-        * 0.5 * H * delta ** (q + 1.0) / (q + 1.0)
+        (sigma * p * (gnorm + 0.5 * H * delta) ** (p - 1.0) * 0.5 * H)[:, None]
+        * np.array([delta ** (qa + 1.0) / (qa + 1.0) for qa in q])
     )
 
     r, w = radial_ladder(1.0, R_big, spec)
-    acc = np.zeros(M)
-    for offs, wts in _offset_chunks(r, w, rule, -1.0 - ap, _CHUNK_ELEMS // max(1, M)):
-        P = X[:, None, :] + offs[None, :, :]
-        vals = np.abs(f.eval(P.reshape(-1, n)).reshape(M, -1) - fx[:, None]) ** p
-        acc += vals @ wts
+    radial = np.stack([w * r ** (-1.0 - a) for a in ap])
+    s_lin = np.empty(M)
+    acc = np.zeros((M, len(ap)))
+    block = max(1, _CHUNK_ELEMS // (G * rule.size))
+    for lo in range(0, M, block):
+        Xb, fxb = X[lo : lo + block], fx[lo : lo + block]
+        b = Xb.shape[0]
+        # analytic core on (0, delta): |grad f(x).h|^p integrates in closed form
+        lin = np.abs((gX[lo : lo + block, None, :] * rule.nodes).sum(axis=-1)) ** p
+        lin *= rule.weights
+        s_lin[lo : lo + block] = lin.sum(axis=-1)
+        for k in range(0, r.size, G):
+            offs = r[k : k + G, None, None] * rule.nodes
+            P = Xb[:, None, None, :] + offs
+            vals = f.eval(P.reshape(-1, n)).reshape(b, G, rule.size)
+            vals -= fxb[:, None, None]
+            np.abs(vals, out=vals)
+            if p != 1.0:
+                vals **= p
+            vals *= rule.weights
+            ang = vals.sum(axis=-1)
+            acc[lo : lo + block] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
 
-    total = core + acc
+    total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     if with_tail:
-        total = total + np.abs(fx) ** p * sigma * R_big ** (-ap) / ap
+        total += (np.abs(fx) ** p)[:, None] * np.array(
+            [sigma * R_big ** (-a) / a for a in ap]
+        )
     return total, core_err
+
+
+def _frac_derivative_schedule(f, alphas, p, x, spec):
+    """One OperatorValue of ( int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy )^{1/p}
+    per alpha, from one full- and one half-resolution engine pass."""
+    for a in alphas:
+        _check_alpha(a)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    X = _as_point(x, f.dim)[None, :]
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"evaluation point must be finite, got {X[0].tolist()}")
+    v1, e1 = _dalpha_integral_batch(f, alphas, X, spec, p=p)
+    v0, _ = _dalpha_integral_batch(f, alphas, X, spec.halved(), p=p)
+    out = []
+    for k in range(len(alphas)):
+        val = float(v1[0, k]) ** (1.0 / p)
+        val0 = float(v0[0, k]) ** (1.0 / p)
+        est = abs(val - val0)
+        if val > 0:
+            est += float(e1[0, k]) * val ** (1.0 - p) / p
+        out.append(OperatorValue(
+            value=val,
+            error_estimate=est,
+            converged=est <= spec.target_rel_error * abs(val) + 1e-300,
+        ))
+    return out
 
 
 def frac_derivative(f, alpha, x, spec):
@@ -161,22 +219,7 @@ def frac_derivative(f, alpha, x, spec):
 
 def frac_derivative_p(f, alpha, p, x, spec):
     """L^p variant ( int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy )^{1/p}."""
-    _check_alpha(alpha)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    X = _as_point(x, f.dim)[None, :]
-    v1, e1 = _dalpha_integral_batch(f, alpha, X, spec, p=p)
-    v0, _ = _dalpha_integral_batch(f, alpha, X, spec.halved(), p=p)
-    val = float(v1[0]) ** (1.0 / p)
-    val0 = float(v0[0]) ** (1.0 / p)
-    est = abs(val - val0)
-    if val > 0:
-        est += float(e1[0]) * val ** (1.0 - p) / p
-    return OperatorValue(
-        value=val,
-        error_estimate=est,
-        converged=est <= spec.target_rel_error * abs(val) + 1e-300,
-    )
+    return _frac_derivative_schedule(f, (alpha,), p, x, spec)[0]
 
 
 def frac_derivative_truncated(f, alpha, x, radius, spec):
@@ -185,12 +228,13 @@ def frac_derivative_truncated(f, alpha, x, radius, spec):
     if radius <= 0:
         raise ValueError("truncation radius must be positive")
     X = _as_point(x, f.dim)[None, :]
-    v1, e1 = _dalpha_integral_batch(f, alpha, X, spec, r_max=radius, with_tail=False)
+    v1, e1 = _dalpha_integral_batch(f, (alpha,), X, spec, r_max=radius, with_tail=False)
     v0, _ = _dalpha_integral_batch(
-        f, alpha, X, spec.halved(), r_max=radius, with_tail=False
+        f, (alpha,), X, spec.halved(), r_max=radius, with_tail=False
     )
-    est = abs(float(v1[0]) - float(v0[0])) + float(e1[0])
-    return OperatorValue(float(v1[0]), est, est <= spec.target_rel_error * abs(float(v1[0])) + 1e-300)
+    v1, v0, e1 = float(v1[0, 0]), float(v0[0, 0]), float(e1[0, 0])
+    est = abs(v1 - v0) + e1
+    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
 
 
 class _SupportGridKernel:
@@ -251,8 +295,8 @@ def frac_derivative_field(f, alpha, spec, p=1.0, cache=None):
             keys = [Y[i].tobytes() for i in idx]
             missing = [i for i, k in zip(idx, keys) if k not in memo]
             if missing:
-                vals, _ = _dalpha_integral_batch(f, alpha, Y[missing], spec, p=p)
-                vals = vals ** (1.0 / p)
+                vals, _ = _dalpha_integral_batch(f, (alpha,), Y[missing], spec, p=p)
+                vals = vals[:, 0] ** (1.0 / p)
                 for i, v in zip(missing, vals):
                     memo[Y[i].tobytes()] = float(v)
             out[idx] = [memo[k] for k in keys]
@@ -456,10 +500,7 @@ def bbm_operator_p(f, alpha, p, x, spec, cache=None):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     factor = (1.0 - alpha) ** (1.0 / p)
-    try:
-        v1, e1 = _composed_value(f, alpha, p, x, spec, cache=cache)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise RuntimeError(f"inner-level evaluation failed: {exc}") from exc
+    v1, e1 = _composed_value(f, alpha, p, x, spec, cache=cache)
     v0, _ = _composed_value(f, alpha, p, x, spec.halved())
     est = factor * (abs(v1 - v0) + e1)
     value = factor * v1
@@ -516,9 +557,9 @@ def _seminorm_value(f, alpha, spec):
         gvals[~near] = far(X[~near])
     hard = 0.0
     if np.any(near):
-        vals, core_err = _dalpha_integral_batch(f, alpha, X[near], spec)
-        gvals[near] = vals
-        hard += float(np.sum(core_err * wt[near]))
+        vals, core_err = _dalpha_integral_batch(f, (alpha,), X[near], spec)
+        gvals[near] = vals[:, 0]
+        hard += float(np.sum(core_err[:, 0] * wt[near]))
     body = pairwise_sum(wt * gvals)
     # envelope remainder beyond the numeric horizon (A2-type domination)
     env = 2.0 ** (n + alpha) * far.l1_fp * sigma * R_far ** (-alpha) / alpha
@@ -646,9 +687,9 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
         dvals[~near] = far(X[~near])
     hard = 0.0
     if np.any(near):
-        vals, core_err = _dalpha_integral_batch(h, alpha, X[near], spec, p=p)
-        dvals[near] = vals
-        hard += float(np.sum(core_err * wt[near] * wvals[near]))
+        vals, core_err = _dalpha_integral_batch(h, (alpha,), X[near], spec, p=p)
+        dvals[near] = vals[:, 0]
+        hard += float(np.sum(core_err[:, 0] * wt[near] * wvals[near]))
     integral = pairwise_sum(wt * wvals * dvals)
     if weight_field is None and include_tail:
         hard += 2.0 ** (n + alpha * p) * far.l1_fp * sigma * R_num ** (-alpha * p) / (alpha * p)

@@ -174,6 +174,37 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", cfgp]) == 2
 
 
+def _expect_config_error(tmp_path, capsys, command, doc, names):
+    cfgp = _write_config(tmp_path / "c.json", {
+        "dimension": 2, "schedule": [0.9, 0.99], "quadrature": _coarse_quad(),
+        "outputs": {"csv": "r.csv", "json": "r.json"}, **doc,
+    })
+    assert main([command, "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for name in names:
+        assert name in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_non_finite_point_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys, "sweep", {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0], [float("nan"), 0.0]],
+    }, ["points[1]"])
+
+
+def test_unknown_field_name_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys, "eval", {
+        "field": {"name": "nope"}, "points": [[0.1, 0.0]],
+    }, ["'field'", "'nope'"])
+
+
+def test_unknown_field_param_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys, "sweep", {
+        "field": {"name": "bump", "params": {"scael": 2}}, "points": [[0.1, 0.0]],
+    }, ["'field'", "'scael'"])
+
+
 class TestCompareGolden:
     def _report(self, tmp_path):
         cfgp = _write_config(tmp_path / "c.json", {

@@ -67,6 +67,11 @@ def test_alpha_and_p_validation():
         frac_derivative_truncated(f, 0.5, np.zeros(2), -1.0, spec)
 
 
+def test_non_finite_point_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        frac_derivative_p(bump(2), 0.5, 1.0, np.array([math.nan, 0.0]), fast_spec(2))
+
+
 def test_p_equal_one_coincides_with_base_operator():
     f = poly_bump(2, k=3)
     spec = MID_SPEC
