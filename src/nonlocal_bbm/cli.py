@@ -14,8 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .constants import bbm_constant, bbm_constant_p, riesz_constant, sphere_area
 from .fields import make_field
 from .limits import (
     AlphaSchedule,
-    SweepReport,
-    SweepRow,
     composed_limit_sweep_p,
     inequality_audit,
     pointwise_gradient_limit_sweep,
@@ -83,7 +80,10 @@ class RunConfig:
 
     @property
     def config_hash(self):
-        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """Hash of the raw config and the quadrature it resolved to, so a
+        ``--quad-preset`` override gives a hash of its own."""
+        doc = {"config": self.raw, "quadrature": asdict(self.quadrature)}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def make_field(self):
@@ -139,9 +139,17 @@ def parse_config(path, quad_preset=None):
             raise ConfigError(f"field 'points[{i}]': coordinates must be finite, got {pt!r}")
         points.append(coords)
 
+    kind = doc.get("sweep_kind", "pointwise")
+    if kind not in _SWEEP_KINDS:
+        raise ConfigError(
+            f"field 'sweep_kind': must be one of {_SWEEP_KINDS}, got {kind!r}"
+        )
+
+    # composed sweeps run in the regime alpha in (1/2, 1)
+    composed = kind == "composed"
     sched_raw = doc.get("schedule")
     if sched_raw is None:
-        schedule = AlphaSchedule.default()
+        schedule = AlphaSchedule.composed_default() if composed else AlphaSchedule.default()
     else:
         if not isinstance(sched_raw, list):
             raise ConfigError("field 'schedule': must be a list of alpha values")
@@ -152,6 +160,8 @@ def parse_config(path, quad_preset=None):
                 )
         try:
             schedule = AlphaSchedule(tuple(float(a) for a in sched_raw))
+            if composed:
+                schedule.require_composed_regime()
         except ValueError as exc:
             raise ConfigError(f"field 'schedule': {exc}") from exc
 
@@ -179,12 +189,6 @@ def parse_config(path, quad_preset=None):
     p = doc.get("p", 1.0)
     if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 1:
         raise ConfigError(f"field 'p': must be a number >= 1, got {p!r}")
-
-    kind = doc.get("sweep_kind", "pointwise")
-    if kind not in _SWEEP_KINDS:
-        raise ConfigError(
-            f"field 'sweep_kind': must be one of {_SWEEP_KINDS}, got {kind!r}"
-        )
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import check_dimension
-from .quadrature import build_sphere_rule, pairwise_sum, _panel_nodes
+from .quadrature import build_sphere_rule, pairwise_sum, panel_ladder
 
 __all__ = [
     "TestField",
@@ -53,14 +53,6 @@ class TestField:
     radial: bool
     smoothness: str
     name: str = "field"
-
-    def eval_at(self, x):
-        """Scalar value at a single point."""
-        return float(self.eval(np.asarray(x, dtype=float).reshape(1, self.dim))[0])
-
-    def grad_at(self, x):
-        """Gradient vector at a single point."""
-        return self.grad(np.asarray(x, dtype=float).reshape(1, self.dim))[0]
 
 
 def _sample_ball(n, radius, count, seed=20240817):
@@ -284,15 +276,8 @@ def _ball_integral(f, values_of, spec, panels=16):
     """Polar quadrature of a batched scalar map over the support ball."""
     n = f.dim
     rule = build_sphere_rule(n, spec.sphere_order)
-    xs, ws = [], []
-    for j in range(panels):
-        lo = f.support_radius * j / panels
-        hi = f.support_radius * (j + 1) / panels
-        x, w = _panel_nodes(lo, hi, spec.gauss_order)
-        xs.append(x)
-        ws.append(w)
-    r = np.concatenate(xs)
-    w = np.concatenate(ws)
+    R = f.support_radius
+    r, w = panel_ladder(spec.gauss_order, R, R, uniform=panels)
     pts = r[:, None, None] * rule.nodes[None, :, :]
     vals = values_of(pts.reshape(-1, n)).reshape(r.size, rule.size)
     ang = vals @ rule.weights

@@ -306,10 +306,11 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
 
     if include_potential_rows and n >= 2:
         subrep_vals, ratio_vals = [], []
-        for a in schedule.values:
-            if a <= 0.5:
-                continue
-            for x in pts:
+        comp_alphas = [a for a in schedule.values if a > 0.5]
+        # I_1(|grad f|)(x) does not depend on alpha
+        targets = [riesz_of_gradient(f, x, spec) for x in pts] if comp_alphas else []
+        for a in comp_alphas:
+            for x, rg in zip(pts, targets):
                 comp = bbm_operator(f, a, x, spec)
                 fx = abs(float(f.eval(x[None, :])[0]))
                 if abs(comp.value) <= _TINY_TARGET:
@@ -326,7 +327,6 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
                         value=ratio, error_estimate=0.0, target=math.nan,
                         passed=None, converged=comp.converged,
                     ))
-                rg = riesz_of_gradient(f, x, spec)
                 if abs(rg.value) <= _TINY_TARGET:
                     rows.append(AuditRow(
                         kind="potential_ratio", alpha=a, point=tuple(x),

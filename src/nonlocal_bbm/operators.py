@@ -18,21 +18,20 @@ set by the spec alone, which makes a point's value independent of the batch
 it was evaluated in.
 """
 
-import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import bbm_constant, check_dimension, riesz_constant, sphere_area
-from .fields import TestField, product, w11_norms
+from .constants import check_dimension, riesz_constant, sphere_area
+from .fields import product
 from .quadrature import (
-    QuadratureSpec,
+    box_rule,
     build_sphere_rule,
     pairwise_sum,
+    panel_ladder,
     radial_ladder,
     rotate_rule,
-    _panel_nodes,
 )
 
 __all__ = [
@@ -64,10 +63,6 @@ class OperatorValue:
     error_estimate: float
     converged: bool = True
     note: str = ""
-
-    def combined_tolerance(self, other, floor=0.0):
-        """Conservative coupling of two estimates (3x their sum, floored)."""
-        return max(3.0 * (self.error_estimate + other.error_estimate), floor)
 
 
 @dataclass(frozen=True)
@@ -242,17 +237,10 @@ class _SupportGridKernel:
     collapses to int_supp |f(z)|^p |y-z|^{-(n + alpha p)} dz, a smooth
     convolution computed on a fixed tensor Gauss grid over the support box."""
 
-    def __init__(self, f, alpha, p=1.0, nodes_per_axis=None):
+    def __init__(self, f, alpha, p=1.0):
         n = f.dim
         R0 = f.support_radius
-        if nodes_per_axis is None:
-            nodes_per_axis = 40 if n <= 2 else 24
-        x1, w1 = _panel_nodes(-R0, R0, nodes_per_axis)
-        grids = np.meshgrid(*([x1] * n), indexing="ij")
-        Z = np.column_stack([g.ravel() for g in grids])
-        wz = np.ones(Z.shape[0])
-        for wgrid in np.meshgrid(*([w1] * n), indexing="ij"):
-            wz *= wgrid.ravel()
+        Z, wz = box_rule(-R0, R0, n, 40 if n <= 2 else 24)
         c = wz * np.abs(f.eval(Z)) ** p
         keep = c > 0
         self.Z = Z[keep]
@@ -270,18 +258,17 @@ class _SupportGridKernel:
         return out
 
 
-def frac_derivative_field(f, alpha, spec, p=1.0, cache=None):
+def frac_derivative_field(f, alpha, spec, p=1.0):
     """The nonlocal derivative as an evaluable decaying function of y.
 
-    Near the support the full shell engine runs (batched, memoized through
-    ``cache``); beyond it the support-grid convolution takes over.  The decay
+    Near the support the full shell engine runs, batched over the near
+    points; beyond it the support-grid convolution takes over.  The decay
     envelope is the far-field domination constant 2^{n + alpha p} ||f^p||_1.
     """
     _check_alpha(alpha)
     n = f.dim
     far = _SupportGridKernel(f, alpha, p=p)
     near_radius = f.support_radius + 0.5
-    memo = cache if cache is not None else {}
 
     def ev(Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -290,16 +277,9 @@ def frac_derivative_field(f, alpha, spec, p=1.0, cache=None):
         near = rad < near_radius
         if np.any(~near):
             out[~near] = far(Y[~near]) ** (1.0 / p)
-        idx = np.nonzero(near)[0]
-        if idx.size:
-            keys = [Y[i].tobytes() for i in idx]
-            missing = [i for i, k in zip(idx, keys) if k not in memo]
-            if missing:
-                vals, _ = _dalpha_integral_batch(f, (alpha,), Y[missing], spec, p=p)
-                vals = vals[:, 0] ** (1.0 / p)
-                for i, v in zip(missing, vals):
-                    memo[Y[i].tobytes()] = float(v)
-            out[idx] = [memo[k] for k in keys]
+        if np.any(near):
+            vals, _ = _dalpha_integral_batch(f, (alpha,), Y[near], spec, p=p)
+            out[near] = vals[:, 0] ** (1.0 / p)
         return out
 
     return DecayingFunction(
@@ -353,18 +333,9 @@ def _riesz_value(g, alpha, x, spec):
     # the rays cross the source region, i.e. radii up to |x| plus the source
     # extent, so panels there grow by 1.25 and only double farther out.
     r_fine = min(R_num, max(4.0, float(np.linalg.norm(x)) + 2.0))
-    r_in, w_in = radial_ladder(1.0, min(1.0, R_num), spec, n_inner=n_inner)
-    xs_r, ws_r = [r_in], [w_in]
-    lo = 1.0
-    while lo < R_num:
-        growth = 1.25 if lo < r_fine else 2.0
-        hi = min(lo * growth, R_num)
-        x1, w1 = _panel_nodes(lo, hi, spec.gauss_order)
-        xs_r.append(x1)
-        ws_r.append(w1)
-        lo = hi
-    r = np.concatenate(xs_r)
-    w = np.concatenate(ws_r)
+    r, w = panel_ladder(
+        spec.gauss_order, delta, R_num, growth=lambda lo: 1.25 if 1.0 <= lo < r_fine else 2.0
+    )
     gx = float(g.eval(x[None, :])[0])
     core = gx * sigma * delta**alpha / alpha
     acc = 0.0
@@ -403,13 +374,7 @@ def riesz_of_field_values(f, alpha, X, spec):
     near = rad < R0 + 0.4
 
     if np.any(~near):
-        m = 64 if n <= 2 else 24
-        x1, w1 = _panel_nodes(-R0, R0, m)
-        grids = np.meshgrid(*([x1] * n), indexing="ij")
-        Z = np.column_stack([g.ravel() for g in grids])
-        wz = np.ones(Z.shape[0])
-        for wgrid in np.meshgrid(*([w1] * n), indexing="ij"):
-            wz *= wgrid.ravel()
+        Z, wz = box_rule(-R0, R0, n, 64 if n <= 2 else 24)
         c = wz * f.eval(Z)
         keep = c != 0.0
         Z, c = Z[keep], c[keep]
@@ -451,12 +416,7 @@ def riesz_of_gradient(f, x, spec):
         # no singularity inside the source region: plain tensor-grid
         # convolution over the support box, refined once for the estimate
         def grid_value(m):
-            x1, w1 = _panel_nodes(-R0, R0, m)
-            grids = np.meshgrid(*([x1] * n), indexing="ij")
-            Z = np.column_stack([gr.ravel() for gr in grids])
-            wz = np.ones(Z.shape[0])
-            for wgrid in np.meshgrid(*([w1] * n), indexing="ij"):
-                wz *= wgrid.ravel()
+            Z, wz = box_rule(-R0, R0, n, m)
             gv = np.linalg.norm(f.grad(Z), axis=1)
             d = np.linalg.norm(x[None, :] - Z, axis=1)
             return riesz_constant(n, 1.0) * pairwise_sum(wz * gv * d ** (1.0 - n))
@@ -480,17 +440,17 @@ def riesz_of_gradient(f, x, spec):
 # ---------------------------------------------------------------------------
 
 
-def _composed_value(f, alpha, p, x, spec, cache=None):
-    g = frac_derivative_field(f, alpha, spec, p=p, cache=cache)
+def _composed_value(f, alpha, p, x, spec):
+    g = frac_derivative_field(f, alpha, spec, p=p)
     return _riesz_value(g, alpha, x, spec)
 
 
-def bbm_operator(f, alpha, x, spec, cache=None):
+def bbm_operator(f, alpha, x, spec):
     """(1 - alpha) I_alpha(D^alpha f)(x), the composed potential operator."""
-    return bbm_operator_p(f, alpha, 1.0, x, spec, cache=cache)
+    return bbm_operator_p(f, alpha, 1.0, x, spec)
 
 
-def bbm_operator_p(f, alpha, p, x, spec, cache=None):
+def bbm_operator_p(f, alpha, p, x, spec):
     """(1 - alpha)^{1/p} I_alpha(D^alpha_p f)(x)."""
     check_dimension(f.dim, minimum=2)
     if not 0.5 < alpha < 1.0:
@@ -500,7 +460,7 @@ def bbm_operator_p(f, alpha, p, x, spec, cache=None):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     factor = (1.0 - alpha) ** (1.0 / p)
-    v1, e1 = _composed_value(f, alpha, p, x, spec, cache=cache)
+    v1, e1 = _composed_value(f, alpha, p, x, spec)
     v0, _ = _composed_value(f, alpha, p, x, spec.halved())
     est = factor * (abs(v1 - v0) + e1)
     value = factor * v1
@@ -525,21 +485,7 @@ def _seminorm_value(f, alpha, spec):
     far = _SupportGridKernel(f, alpha, p=1.0)
 
     # radial grid: smooth panels through the support, dyadic ladder beyond
-    xs, ws = [], []
-    panels = 12
-    for j in range(panels):
-        x1, w1 = _panel_nodes(R_mid * j / panels, R_mid * (j + 1) / panels, spec.gauss_order)
-        xs.append(x1)
-        ws.append(w1)
-    lo = R_mid
-    while lo < R_far:
-        hi = min(2.0 * lo, R_far)
-        x1, w1 = _panel_nodes(lo, hi, spec.gauss_order)
-        xs.append(x1)
-        ws.append(w1)
-        lo = hi
-    r = np.concatenate(xs)
-    w = np.concatenate(ws)
+    r, w = panel_ladder(spec.gauss_order, R_mid, R_far, uniform=12)
 
     if f.radial:
         X = np.zeros((r.size, n))
@@ -616,12 +562,8 @@ def bbm_poincare_sides(f, cube_center, side, alpha, spec, grid_per_axis=12):
     n = f.dim
     c = _as_point(cube_center, n)
     lo, hi = c - side / 2.0, c + side / 2.0
-    x1, w1 = _panel_nodes(0.0, 1.0, grid_per_axis)
-    grids = np.meshgrid(*([x1] * n), indexing="ij")
-    X = lo + side * np.column_stack([g.ravel() for g in grids])
-    wx = np.ones(X.shape[0])
-    for wgrid in np.meshgrid(*([w1] * n), indexing="ij"):
-        wx *= wgrid.ravel()
+    Z, wx = box_rule(0.0, 1.0, n, grid_per_axis)
+    X = lo + side * Z
     wx *= side**n
     volume = side**n
 
@@ -653,22 +595,8 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
     else:
         R_num = 2.0**spec.outer_shells * (2.0 * h.support_radius + 1.0)
 
-    xs, ws = [], []
-    panels = 10
     R_panels = min(R_num, 2.0 * h.support_radius + 1.0)
-    for j in range(panels):
-        x1, w1 = _panel_nodes(R_panels * j / panels, R_panels * (j + 1) / panels, spec.gauss_order)
-        xs.append(x1)
-        ws.append(w1)
-    lo = R_panels
-    while lo < R_num:
-        hi = min(2.0 * lo, R_num)
-        x1, w1 = _panel_nodes(lo, hi, spec.gauss_order)
-        xs.append(x1)
-        ws.append(w1)
-        lo = hi
-    r = np.concatenate(xs)
-    w = np.concatenate(ws)
+    r, w = panel_ladder(spec.gauss_order, R_panels, R_num, uniform=10)
     rule = build_sphere_rule(n, spec.sphere_order)
     X = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
     wt = ((w * r ** (n - 1))[:, None] * rule.weights[None, :]).ravel()

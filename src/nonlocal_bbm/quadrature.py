@@ -14,7 +14,6 @@ with the kink directions integrate them to machine precision.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,8 +30,8 @@ __all__ = [
     "default_spec",
     "high_spec",
     "composed_spec",
-    "Shell",
-    "shell_scheme",
+    "panel_ladder",
+    "box_rule",
     "radial_ladder",
     "pairwise_sum",
     "radial_reduction_oracle",
@@ -69,6 +68,45 @@ def _panel_nodes(a, b, order):
     return mid + rad * x, rad * w
 
 
+def panel_ladder(order, start, r_max, uniform=0, growth=None):
+    """Gauss-Legendre nodes on consecutive panels, as flat (nodes, weights)
+    arrays in increasing radius order.
+
+    With ``uniform = m > 0`` the ladder opens with the m equal panels
+    [start j/m, start (j+1)/m] on [0, start].  From ``start`` on, each panel
+    [lo, hi] has hi = 2 lo, or lo * growth(lo) when ``growth`` is given,
+    until r_max, where the last panel is clipped.
+    """
+    xs, ws = [], []
+    for j in range(uniform):
+        x, w = _panel_nodes(start * j / uniform, start * (j + 1) / uniform, order)
+        xs.append(x)
+        ws.append(w)
+    lo = start
+    while lo < r_max:
+        hi = min(lo * (2.0 if growth is None else growth(lo)), r_max)
+        if not hi > lo:
+            raise RuntimeError("panel ladder failed to terminate")
+        x, w = _panel_nodes(lo, hi, order)
+        xs.append(x)
+        ws.append(w)
+        lo = hi
+    if not xs:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def box_rule(lo, hi, n, order):
+    """Tensor Gauss-Legendre rule on the cube [lo, hi]^n: nodes Z of shape
+    (order^n, n) and their weights."""
+    x1, w1 = _panel_nodes(lo, hi, order)
+    Z = np.column_stack([g.ravel() for g in np.meshgrid(*([x1] * n), indexing="ij")])
+    w = np.ones(Z.shape[0])
+    for wgrid in np.meshgrid(*([w1] * n), indexing="ij"):
+        w *= wgrid.ravel()
+    return Z, w
+
+
 # ---------------------------------------------------------------------------
 # sphere rules
 # ---------------------------------------------------------------------------
@@ -94,14 +132,7 @@ def _cached_sphere_rule(n, order):
         weights = np.array([1.0, 1.0])
     elif n == 2:
         # 8 Gauss-Legendre arcs on the half circle, then antipodes.
-        per_panel = max(2, -(-order // 8))
-        thetas, ws = [], []
-        for j in range(4):
-            t, w = _panel_nodes(j * np.pi / 4.0, (j + 1) * np.pi / 4.0, per_panel)
-            thetas.append(t)
-            ws.append(w)
-        theta = np.concatenate(thetas)
-        w = np.concatenate(ws)
+        theta, w = panel_ladder(max(2, -(-order // 8)), np.pi, np.pi, uniform=4)
         upper = np.column_stack([np.cos(theta), np.sin(theta)])
         nodes = np.concatenate([upper, -upper])
         weights = np.concatenate([w, w])
@@ -112,13 +143,7 @@ def _cached_sphere_rule(n, order):
         n_theta = max(4, -(-order // 2))
         n_phi = max(2, -(-order // 4))
         theta, w_theta = _panel_nodes(0.0, np.pi / 2.0, n_theta)
-        phis, wps = [], []
-        for j in range(8):
-            p, wp = _panel_nodes(j * np.pi / 4.0, (j + 1) * np.pi / 4.0, n_phi)
-            phis.append(p)
-            wps.append(wp)
-        phi = np.concatenate(phis)
-        w_phi = np.concatenate(wps)
+        phi, w_phi = panel_ladder(n_phi, 2.0 * np.pi, 2.0 * np.pi, uniform=8)
         st, ct = np.sin(theta), np.cos(theta)
         upper = np.column_stack(
             [
@@ -251,65 +276,14 @@ def composed_spec(n=2):
     )
 
 
-@dataclass(frozen=True)
-class Shell:
-    lo: float
-    hi: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def shell_scheme(reference_radius, spec):
-    """Dyadic shells around a reference radius R.
-
-    Inner shells [2^{-k} R, 2^{-k+1} R] for k = K_in..1 and outer shells
-    [2^j R, 2^{j+1} R] for j = 0..K_out-1, each carrying Gauss-Legendre
-    nodes.  The gap (0, 2^{-K_in} R) is left to analytic treatment.
-    """
-    if reference_radius <= 0:
-        raise ValueError("reference_radius must be positive")
-    R = float(reference_radius)
-    shells = []
-    for k in range(spec.inner_shells, 0, -1):
-        lo, hi = R * 2.0**-k, R * 2.0 ** (-k + 1)
-        x, w = _panel_nodes(lo, hi, spec.gauss_order)
-        shells.append(Shell(lo, hi, x, w))
-    for j in range(spec.outer_shells):
-        lo, hi = R * 2.0**j, R * 2.0 ** (j + 1)
-        x, w = _panel_nodes(lo, hi, spec.gauss_order)
-        shells.append(Shell(lo, hi, x, w))
-    return shells
-
-
 def radial_ladder(r_mid, r_max, spec, n_inner=None):
     """Gauss nodes on a dyadic ladder from 2^{-K_in} r_mid up to r_max.
 
-    Shells above r_mid double until they pass r_max; the last one is clipped.
-    Returns flat (nodes, weights) arrays in increasing radius order.
+    Shells double until they pass r_max; the last one is clipped.  Returns
+    flat (nodes, weights) arrays in increasing radius order.
     """
     k_in = spec.inner_shells if n_inner is None else n_inner
-    xs, ws = [], []
-    for k in range(k_in, 0, -1):
-        lo, hi = r_mid * 2.0**-k, r_mid * 2.0 ** (-k + 1)
-        if lo >= r_max:
-            break
-        x, w = _panel_nodes(lo, min(hi, r_max), spec.gauss_order)
-        xs.append(x)
-        ws.append(w)
-    j = 0
-    lo = r_mid
-    while lo < r_max:
-        hi = min(lo * 2.0, r_max)
-        x, w = _panel_nodes(lo, hi, spec.gauss_order)
-        xs.append(x)
-        ws.append(w)
-        lo = hi
-        j += 1
-        if j > 200:
-            raise RuntimeError("radial ladder failed to terminate")
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    return panel_ladder(spec.gauss_order, r_mid * 2.0**-k_in, r_max)
 
 
 # ---------------------------------------------------------------------------

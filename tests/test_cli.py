@@ -4,6 +4,7 @@ import math
 import pytest
 
 from nonlocal_bbm.cli import ConfigError, compare_golden, main, parse_config
+from nonlocal_bbm.limits import AlphaSchedule
 
 
 def _write_config(path, doc):
@@ -75,6 +76,21 @@ class TestParseConfig:
         path = _write_config(tmp_path / "c.json", {"dimension": 2})
         cfg = parse_config(path, quad_preset="fast")
         assert cfg.quadrature.inner_shells == 12
+
+    def test_quad_preset_changes_config_hash(self, tmp_path):
+        path = _write_config(tmp_path / "c.json", {"dimension": 2})
+        fast = parse_config(path, quad_preset="fast")
+        default = parse_config(path, quad_preset="default")
+        assert fast.raw == default.raw
+        assert fast.config_hash != default.config_hash
+        assert parse_config(path).config_hash == default.config_hash
+
+    def test_composed_sweep_defaults_to_composed_schedule(self, tmp_path):
+        cfg = parse_config(_write_config(tmp_path / "c.json", {
+            "dimension": 2, "sweep_kind": "composed",
+        }))
+        assert cfg.schedule == AlphaSchedule.composed_default()
+        assert cfg.schedule.values[0] > 0.5
 
 
 def test_constants_mode_emits_known_values(tmp_path):
@@ -203,6 +219,13 @@ def test_unknown_field_param_is_config_error(tmp_path, capsys):
     _expect_config_error(tmp_path, capsys, "sweep", {
         "field": {"name": "bump", "params": {"scael": 2}}, "points": [[0.1, 0.0]],
     }, ["'field'", "'scael'"])
+
+
+def test_composed_schedule_at_half_is_config_error(tmp_path, capsys):
+    _expect_config_error(tmp_path, capsys, "sweep", {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0]],
+        "sweep_kind": "composed", "schedule": [0.5, 0.99],
+    }, ["'schedule'"])
 
 
 class TestCompareGolden:

@@ -14,7 +14,6 @@ from nonlocal_bbm.fields import (
 )
 from nonlocal_bbm.operators import (
     DecayingFunction,
-    OperatorValue,
     bbm_poincare_sides,
     frac_derivative,
     frac_derivative_p,
@@ -37,13 +36,6 @@ MID_SPEC = QuadratureSpec(
     inner_shells=24, outer_shells=16, gauss_order=12, sphere_order=64,
     target_rel_error=1e-4,
 )
-
-
-def test_operator_value_combined_tolerance():
-    a = OperatorValue(1.0, 1e-3)
-    b = OperatorValue(2.0, 2e-3)
-    assert a.combined_tolerance(b) == pytest.approx(9e-3)
-    assert a.combined_tolerance(b, floor=0.1) == 0.1
 
 
 def test_zero_field_gives_zero_everywhere():

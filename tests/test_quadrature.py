@@ -15,7 +15,6 @@ from nonlocal_bbm.quadrature import (
     radial_ladder,
     radial_reduction_oracle,
     rotate_rule,
-    shell_scheme,
     sphere_integrate,
 )
 
@@ -93,15 +92,6 @@ def test_spec_halved():
     half = spec.halved()
     assert half.gauss_order < spec.gauss_order
     assert half.sphere_order < spec.sphere_order
-
-
-def test_shell_scheme_covers_dyadic_range():
-    spec = fast_spec(2)
-    shells = shell_scheme(1.0, spec)
-    assert shells[0].lo == pytest.approx(2.0**-spec.inner_shells)
-    assert shells[-1].hi == pytest.approx(2.0**spec.outer_shells)
-    for a, b in zip(shells, shells[1:]):
-        assert b.lo == pytest.approx(a.hi)
 
 
 def test_radial_ladder_integrates_power_kernel():
