@@ -231,21 +231,13 @@ def _fmt_point(pt):
     return ";".join(format(float(c), ".17g") for c in pt)
 
 
-def _sweep_csv_rows(case_id, point, report):
-    rows = []
-    for r in report.rows:
-        rows.append({
-            "case_id": case_id,
-            "alpha": _fmt(r.alpha),
-            "point": _fmt_point(point),
-            "value": _fmt(r.value),
-            "error_estimate": _fmt(r.error_estimate),
-            "target": _fmt(r.target),
-            "abs_error": _fmt(r.abs_error),
-            "rel_error": _fmt(r.rel_error),
-            "pass": "1" if r.converged else "0",
-        })
-    return rows
+def _csv_row(case_id, alpha, point, value, error_estimate, target=None,
+             abs_error=None, rel_error=None, passed="1"):
+    """One report row in ``CSV_COLUMNS`` order; None prints as empty."""
+    return dict(zip(CSV_COLUMNS, (
+        case_id, _fmt(alpha), _fmt_point(point), _fmt(value), _fmt(error_estimate),
+        _fmt(target), _fmt(abs_error), _fmt(rel_error), passed,
+    )))
 
 
 def _write_csv(path, rows):
@@ -309,17 +301,7 @@ def _run_constants(cfg):
     rows = []
 
     def row(case_id, value, alpha=None):
-        rows.append({
-            "case_id": case_id,
-            "alpha": _fmt(alpha),
-            "point": "",
-            "value": _fmt(value),
-            "error_estimate": _fmt(0.0),
-            "target": "",
-            "abs_error": "",
-            "rel_error": "",
-            "pass": "1",
-        })
+        rows.append(_csv_row(case_id, alpha, None, value, 0.0))
 
     row(f"constant:sphere_area:n={n}", sphere_area(n))
     if n >= 2:
@@ -345,17 +327,10 @@ def _run_eval(cfg, threads):
     for chunk in results:
         for a, point, ov in chunk:
             bad += 0 if ov.converged else 1
-            rows.append({
-                "case_id": f"eval:{f.name}:n={cfg.dimension}:p={cfg.p:g}",
-                "alpha": _fmt(a),
-                "point": _fmt_point(point),
-                "value": _fmt(ov.value),
-                "error_estimate": _fmt(ov.error_estimate),
-                "target": "",
-                "abs_error": "",
-                "rel_error": "",
-                "pass": "1" if ov.converged else "0",
-            })
+            rows.append(_csv_row(
+                f"eval:{f.name}:n={cfg.dimension}:p={cfg.p:g}", a, point, ov.value,
+                ov.error_estimate, passed="1" if ov.converged else "0",
+            ))
     summary = {"cases": cases, "fits": [], "audits": []}
     return rows, summary, (1 if bad else 0)
 
@@ -381,7 +356,11 @@ def _run_sweep(cfg, threads):
     reports = _map_ordered(one, units, threads)
     for point, report in zip(units, reports):
         case_id = report.case_id
-        rows.extend(_sweep_csv_rows(case_id, point, report))
+        rows.extend(
+            _csv_row(case_id, r.alpha, point, r.value, r.error_estimate, r.target,
+                     r.abs_error, r.rel_error, "1" if r.converged else "0")
+            for r in report.rows
+        )
         cases.append(_sweep_json_case(case_id, point, report))
         if report.fit is not None:
             c_fit, slope = report.fit
@@ -407,17 +386,10 @@ def _run_audit(cfg, threads):
             flag = "" if r.converged else "0"
         else:
             flag = "1" if (r.passed and r.converged) else "0"
-        rows.append({
-            "case_id": f"{report.case_id}:{r.kind}",
-            "alpha": _fmt(r.alpha),
-            "point": _fmt_point(r.point),
-            "value": _fmt(r.value),
-            "error_estimate": _fmt(r.error_estimate),
-            "target": _fmt(r.target),
-            "abs_error": "",
-            "rel_error": "",
-            "pass": flag,
-        })
+        rows.append(_csv_row(
+            f"{report.case_id}:{r.kind}", r.alpha, r.point, r.value, r.error_estimate,
+            r.target, passed=flag,
+        ))
     audits = [{
         "case_id": report.case_id,
         "failures": report.failures,

@@ -3,7 +3,7 @@ compared against the closed-form limits, with convergence-rate fits and
 the pointwise inequality audits."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -129,10 +129,21 @@ def rate_fit(report, tail_rows=4):
     return float(math.exp(intercept)), float(slope)
 
 
-def _attach_fit(report):
-    if len(report.rows) >= 3:
-        return SweepReport(report.case_id, report.rows, report.target_description,
-                           fit=rate_fit(report))
+def _scaled(ov, factor):
+    """``ov`` with its value and error estimate multiplied by ``factor``."""
+    return replace(ov, value=factor * ov.value, error_estimate=factor * ov.error_estimate)
+
+
+def _sweep_report(case_id, description, target, alphas, values, flag_gap=False):
+    """One row per (alpha, value) against ``target``, with the rate fit
+    attached once there are three rows."""
+    rows = tuple(
+        _make_row(a, v, target, note=_gap_flag(v, target) if flag_gap else "")
+        for a, v in zip(alphas, values)
+    )
+    report = SweepReport(case_id, rows, description)
+    if len(rows) >= 3:
+        report = replace(report, fit=rate_fit(report))
     return report
 
 
@@ -149,22 +160,11 @@ def pointwise_gradient_limit_sweep(f, x, schedule, spec):
     x = np.asarray(x, dtype=float).reshape(n)
     Kn = bbm_constant(n, allow_dim_one=True)
     target = Kn * float(np.linalg.norm(f.grad(x[None, :])[0]))
-    rows = []
     values = _frac_derivative_schedule(f, schedule.values, 1.0, x, spec)
-    for a, dv in zip(schedule.values, values):
-        scaled = type(dv)(
-            value=(1.0 - a) * dv.value,
-            error_estimate=(1.0 - a) * dv.error_estimate,
-            converged=dv.converged,
-            note=dv.note,
-        )
-        rows.append(_make_row(a, scaled, target))
-    report = SweepReport(
-        case_id=f"pointwise:{f.name}:n={n}",
-        rows=tuple(rows),
-        target_description="K_n |grad f(x)|",
+    return _sweep_report(
+        f"pointwise:{f.name}:n={n}", "K_n |grad f(x)|", target, schedule.values,
+        [_scaled(dv, 1.0 - a) for a, dv in zip(schedule.values, values)],
     )
-    return _attach_fit(report)
 
 
 def composed_limit_sweep(f, x, schedule, spec):
@@ -178,41 +178,24 @@ def composed_limit_sweep_p(f, x, p, schedule, spec):
     n = check_dimension(f.dim, minimum=2)
     schedule.require_composed_regime()
     x = np.asarray(x, dtype=float).reshape(n)
-    rg = riesz_of_gradient(f, x, spec)
-    target = bbm_constant_p(n, p) * rg.value if p != 1.0 else bbm_constant(n) * rg.value
-    rows = []
-    for a in schedule.values:
-        ov = bbm_operator_p(f, a, p, x, spec)
-        rows.append(_make_row(a, ov, target, note=_gap_flag(ov, target)))
-    report = SweepReport(
-        case_id=f"composed:{f.name}:n={n}:p={p:g}:x={tuple(round(c, 6) for c in x)}",
-        rows=tuple(rows),
-        target_description="K_{n,p} I_1(|grad f|)(x)",
+    target = bbm_constant_p(n, p) * riesz_of_gradient(f, x, spec).value
+    return _sweep_report(
+        f"composed:{f.name}:n={n}:p={p:g}:x={tuple(round(float(c), 6) for c in x)}",
+        "K_{n,p} I_1(|grad f|)(x)", target, schedule.values,
+        [bbm_operator_p(f, a, p, x, spec) for a in schedule.values],
+        flag_gap=True,
     )
-    return _attach_fit(report)
 
 
 def seminorm_limit_sweep(f, schedule, spec):
     """(1-alpha) [f]_{W^{alpha,1}} against K_n ||grad f||_{L^1}."""
     n = f.dim
     _, grad_l1 = w11_norms(f, spec)
-    target = bbm_constant(n, allow_dim_one=True) * grad_l1
-    rows = []
-    for a in schedule.values:
-        sv = gagliardo_seminorm(f, a, spec)
-        scaled = type(sv)(
-            value=(1.0 - a) * sv.value,
-            error_estimate=(1.0 - a) * sv.error_estimate,
-            converged=sv.converged,
-            note=sv.note,
-        )
-        rows.append(_make_row(a, scaled, target))
-    report = SweepReport(
-        case_id=f"seminorm:{f.name}:n={n}",
-        rows=tuple(rows),
-        target_description="K_n ||grad f||_L1",
+    return _sweep_report(
+        f"seminorm:{f.name}:n={n}", "K_n ||grad f||_L1",
+        bbm_constant(n, allow_dim_one=True) * grad_l1, schedule.values,
+        [_scaled(gagliardo_seminorm(f, a, spec), 1.0 - a) for a in schedule.values],
     )
-    return _attach_fit(report)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +226,21 @@ class AuditReport:
     @property
     def all_passed(self):
         return self.failures == 0
+
+
+def _ratio_row(kind, alpha, x, num, den, target, converged):
+    """Audit row of num / den, indeterminate (value NaN) when |den| <= 1e-14."""
+    if abs(den) <= _TINY_TARGET:
+        return AuditRow(
+            kind=kind, alpha=alpha, point=tuple(x),
+            value=math.nan, error_estimate=0.0, target=math.nan,
+            passed=None, note="indeterminate: denominator below 1e-14",
+        )
+    return AuditRow(
+        kind=kind, alpha=alpha, point=tuple(x),
+        value=num / den, error_estimate=0.0, target=target,
+        passed=None, converged=converged,
+    )
 
 
 def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
@@ -305,7 +303,6 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
         ))
 
     if include_potential_rows and n >= 2:
-        subrep_vals, ratio_vals = [], []
         comp_alphas = [a for a in schedule.values if a > 0.5]
         # I_1(|grad f|)(x) does not depend on alpha
         targets = [riesz_of_gradient(f, x, spec) for x in pts] if comp_alphas else []
@@ -313,39 +310,14 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
             for x, rg in zip(pts, targets):
                 comp = bbm_operator(f, a, x, spec)
                 fx = abs(float(f.eval(x[None, :])[0]))
-                if abs(comp.value) <= _TINY_TARGET:
-                    rows.append(AuditRow(
-                        kind="subrep_ratio", alpha=a, point=tuple(x),
-                        value=math.nan, error_estimate=0.0, target=math.nan,
-                        passed=None, note="indeterminate: denominator below 1e-14",
-                    ))
-                else:
-                    ratio = fx / comp.value
-                    subrep_vals.append(ratio)
-                    rows.append(AuditRow(
-                        kind="subrep_ratio", alpha=a, point=tuple(x),
-                        value=ratio, error_estimate=0.0, target=math.nan,
-                        passed=None, converged=comp.converged,
-                    ))
-                if abs(rg.value) <= _TINY_TARGET:
-                    rows.append(AuditRow(
-                        kind="potential_ratio", alpha=a, point=tuple(x),
-                        value=math.nan, error_estimate=0.0, target=math.nan,
-                        passed=None, note="indeterminate: denominator below 1e-14",
-                    ))
-                else:
-                    ratio = comp.value / rg.value
-                    ratio_vals.append(ratio)
-                    rows.append(AuditRow(
-                        kind="potential_ratio", alpha=a, point=tuple(x),
-                        value=ratio, error_estimate=0.0,
-                        target=bbm_constant(n),
-                        passed=None, converged=comp.converged and rg.converged,
-                    ))
-        if subrep_vals:
-            suprema["subrep_ratio"] = max(subrep_vals)
-        if ratio_vals:
-            suprema["potential_ratio"] = max(ratio_vals)
+                rows.append(_ratio_row("subrep_ratio", a, x, fx, comp.value, math.nan,
+                                       comp.converged))
+                rows.append(_ratio_row("potential_ratio", a, x, comp.value, rg.value,
+                                       bbm_constant(n), comp.converged and rg.converged))
+        for kind in ("subrep_ratio", "potential_ratio"):
+            ratios = [r.value for r in rows if r.kind == kind and not math.isnan(r.value)]
+            if ratios:
+                suprema[kind] = max(ratios)
 
     return AuditReport(
         case_id=f"audit:{f.name}:n={n}",

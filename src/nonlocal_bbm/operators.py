@@ -18,7 +18,7 @@ set by the spec alone, which makes a point's value independent of the batch
 it was evaluated in.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -207,6 +207,17 @@ def _frac_derivative_schedule(f, alphas, p, x, spec):
     return out
 
 
+def _two_resolution(run, spec):
+    """OperatorValue of a single-resolution ``run(spec) -> (value, hard)``:
+    the estimate is the difference against the same run at half resolution
+    plus the hard bound, and converged means it meets the spec's relative
+    target."""
+    v1, e1 = run(spec)
+    v0, _ = run(spec.halved())
+    est = abs(v1 - v0) + e1
+    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+
+
 def frac_derivative(f, alpha, x, spec):
     """Nonlocal derivative int |f(x)-f(y)| / |x-y|^{n+alpha} dy at a point."""
     return frac_derivative_p(f, alpha, 1.0, x, spec)
@@ -223,30 +234,30 @@ def frac_derivative_truncated(f, alpha, x, radius, spec):
     if radius <= 0:
         raise ValueError("truncation radius must be positive")
     X = _as_point(x, f.dim)[None, :]
-    v1, e1 = _dalpha_integral_batch(f, (alpha,), X, spec, r_max=radius, with_tail=False)
-    v0, _ = _dalpha_integral_batch(
-        f, (alpha,), X, spec.halved(), r_max=radius, with_tail=False
-    )
-    v1, v0, e1 = float(v1[0, 0]), float(v0[0, 0]), float(e1[0, 0])
-    est = abs(v1 - v0) + e1
-    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+
+    def run(quad):
+        v, e = _dalpha_integral_batch(f, (alpha,), X, quad, r_max=radius, with_tail=False)
+        return float(v[0, 0]), float(e[0, 0])
+
+    return _two_resolution(run, spec)
 
 
 class _SupportGridKernel:
-    """Far-field evaluator: for y outside the support, the nonlocal derivative
-    collapses to int_supp |f(z)|^p |y-z|^{-(n + alpha p)} dz, a smooth
-    convolution computed on a fixed tensor Gauss grid over the support box."""
+    """The support-box convolution y -> sum_z c_z |y - z|^expo, where c_z is
+    the tensor Gauss weight of an ``order``^n grid over [-R0, R0]^n times
+    ``density(z)``.  For y away from the support the integrand is smooth, so
+    a fixed grid serves; ``mass`` is sum_z c_z."""
 
-    def __init__(self, f, alpha, p=1.0):
-        n = f.dim
+    def __init__(self, f, order, density, expo):
         R0 = f.support_radius
-        Z, wz = box_rule(-R0, R0, n, 40 if n <= 2 else 24)
-        c = wz * np.abs(f.eval(Z)) ** p
-        keep = c > 0
+        Z, wz = box_rule(-R0, R0, f.dim, order)
+        c = wz * density(Z)
+        # summed before the zeros are dropped, which fixes its rounding
+        self.mass = float(np.sum(c))
+        keep = c != 0.0
         self.Z = Z[keep]
         self.c = c[keep]
-        self.expo = -(n + alpha * p)
-        self.l1_fp = float(np.sum(c))
+        self.expo = expo
 
     def __call__(self, Y):
         Y = np.atleast_2d(Y)
@@ -258,36 +269,63 @@ class _SupportGridKernel:
         return out
 
 
-def frac_derivative_field(f, alpha, spec, p=1.0):
-    """The nonlocal derivative as an evaluable decaying function of y.
-
-    Near the support the full shell engine runs, batched over the near
-    points; beyond it the support-grid convolution takes over.  The decay
-    envelope is the far-field domination constant 2^{n + alpha p} ||f^p||_1.
+class _DalphaField:
+    """D^alpha_p f before its 1/p root as a function of y, evaluated over
+    whole node sets of an outer quadrature.  Within ``near_radius`` the
+    shell engine runs, batched over the near points; beyond it the integral
+    collapses to int_supp |f(z)|^p |y-z|^{-(n + alpha p)} dz, the
+    support-grid convolution.  For |y| >= ``envelope_radius`` the value is
+    at most ``envelope`` |y|^{-(n + alpha p)}, with the envelope constant
+    2^{n + alpha p} ||f^p||_1.
     """
-    _check_alpha(alpha)
-    n = f.dim
-    far = _SupportGridKernel(f, alpha, p=p)
-    near_radius = f.support_radius + 0.5
 
-    def ev(Y):
+    def __init__(self, f, alpha, spec, p=1.0):
+        n = f.dim
+        self.f, self.alpha, self.spec, self.p = f, alpha, spec, p
+        self.near_radius = f.support_radius + 0.5
+        self.envelope_radius = 2.0 * f.support_radius + 1.0
+        self.kernel = _SupportGridKernel(
+            f, 40 if n <= 2 else 24, lambda Z: np.abs(f.eval(Z)) ** p, -(n + alpha * p)
+        )
+        self.envelope = 2.0 ** (n + alpha * p) * self.kernel.mass
+
+    def __call__(self, Y, *weights):
+        """Values at Y, and the Taylor-core bounds of the near points
+        multiplied by each of ``weights`` in turn and summed."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         out = np.empty(Y.shape[0])
-        rad = np.linalg.norm(Y, axis=1)
-        near = rad < near_radius
+        near = np.linalg.norm(Y, axis=1) < self.near_radius
         if np.any(~near):
-            out[~near] = far(Y[~near]) ** (1.0 / p)
+            out[~near] = self.kernel(Y[~near])
+        hard = 0.0
         if np.any(near):
-            vals, _ = _dalpha_integral_batch(f, (alpha,), Y[near], spec, p=p)
-            out[near] = vals[:, 0] ** (1.0 / p)
-        return out
+            vals, core_err = _dalpha_integral_batch(
+                self.f, (self.alpha,), Y[near], self.spec, p=self.p
+            )
+            out[near] = vals[:, 0]
+            bound = core_err[:, 0]
+            for w in weights:
+                bound = bound * w[near]
+            hard = float(np.sum(bound))
+        return out, hard
 
+    def tail(self, R):
+        """Envelope bound on the integral of the values over |y| > R."""
+        ap = self.alpha * self.p
+        return self.envelope * sphere_area(self.f.dim) * R ** (-ap) / ap
+
+
+def frac_derivative_field(f, alpha, spec, p=1.0):
+    """The nonlocal derivative as an evaluable decaying function of y, with
+    the decay envelope of ``_DalphaField``."""
+    _check_alpha(alpha)
+    D = _DalphaField(f, alpha, spec, p)
     return DecayingFunction(
-        dim=n,
-        eval=ev,
-        decay_exponent=n / p + alpha,
-        decay_constant=(2.0 ** (n + alpha * p) * far.l1_fp) ** (1.0 / p),
-        envelope_radius=2.0 * f.support_radius + 1.0,
+        dim=f.dim,
+        eval=lambda Y: D(Y)[0] ** (1.0 / p),
+        decay_exponent=f.dim / p + alpha,
+        decay_constant=D.envelope ** (1.0 / p),
+        envelope_radius=D.envelope_radius,
     )
 
 
@@ -353,10 +391,7 @@ def riesz_potential(g, alpha, x, spec):
         raise ValueError(f"alpha must be in (0, n={n}), got {alpha}")
     if g.support_radius is None and g.decay_exponent <= alpha:
         raise ValueError("decay too weak: need decay_exponent > alpha")
-    v1, e1 = _riesz_value(g, alpha, x, spec)
-    v0, _ = _riesz_value(g, alpha, x, spec.halved())
-    est = abs(v1 - v0) + e1
-    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+    return _two_resolution(lambda quad: _riesz_value(g, alpha, x, quad), spec)
 
 
 def riesz_of_field_values(f, alpha, X, spec):
@@ -374,17 +409,8 @@ def riesz_of_field_values(f, alpha, X, spec):
     near = rad < R0 + 0.4
 
     if np.any(~near):
-        Z, wz = box_rule(-R0, R0, n, 64 if n <= 2 else 24)
-        c = wz * f.eval(Z)
-        keep = c != 0.0
-        Z, c = Z[keep], c[keep]
-        Y = X[~near]
-        vals = np.empty(Y.shape[0])
-        rows = max(1, _CHUNK_ELEMS // max(1, Z.shape[0]))
-        for i in range(0, Y.shape[0], rows):
-            d2 = np.sum((Y[i : i + rows, None, :] - Z[None, :, :]) ** 2, axis=-1)
-            vals[i : i + rows] = d2 ** ((alpha - n) / 2.0) @ c
-        out[~near] = vals
+        far = _SupportGridKernel(f, 64 if n <= 2 else 24, f.eval, alpha - n)
+        out[~near] = far(X[~near])
 
     if np.any(near):
         Xn = X[near]
@@ -460,10 +486,8 @@ def bbm_operator_p(f, alpha, p, x, spec):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     factor = (1.0 - alpha) ** (1.0 / p)
-    v1, e1 = _composed_value(f, alpha, p, x, spec)
-    v0, _ = _composed_value(f, alpha, p, x, spec.halved())
-    est = factor * (abs(v1 - v0) + e1)
-    value = factor * v1
+    raw = _two_resolution(lambda quad: _composed_value(f, alpha, p, x, quad), spec)
+    value, est = factor * raw.value, factor * raw.error_estimate
     converged = est <= max(spec.target_rel_error, 1e-3) * abs(value) + 1e-300
     note = "" if converged else "outer differencing above target"
     return OperatorValue(value, est, converged, note)
@@ -478,11 +502,9 @@ def _seminorm_value(f, alpha, spec):
     """Single-resolution Gagliardo seminorm as int D^alpha f(x) dx."""
     n = f.dim
     sigma = sphere_area(n)
-    R0 = f.support_radius
-    near_radius = R0 + 0.5
-    R_mid = 2.0 * R0 + 1.0
+    D = _DalphaField(f, alpha, spec)
+    R_mid = D.envelope_radius
     R_far = 2.0**spec.outer_shells * R_mid
-    far = _SupportGridKernel(f, alpha, p=1.0)
 
     # radial grid: smooth panels through the support, dyadic ladder beyond
     r, w = panel_ladder(spec.gauss_order, R_mid, R_far, uniform=12)
@@ -496,29 +518,16 @@ def _seminorm_value(f, alpha, spec):
         X = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
         wt = ((w * r ** (n - 1))[:, None] * rule.weights[None, :]).ravel()
 
-    rad = np.linalg.norm(X, axis=1)
-    near = rad < near_radius
-    gvals = np.empty(X.shape[0])
-    if np.any(~near):
-        gvals[~near] = far(X[~near])
-    hard = 0.0
-    if np.any(near):
-        vals, core_err = _dalpha_integral_batch(f, (alpha,), X[near], spec)
-        gvals[near] = vals[:, 0]
-        hard += float(np.sum(core_err[:, 0] * wt[near]))
+    gvals, hard = D(X, wt)
     body = pairwise_sum(wt * gvals)
     # envelope remainder beyond the numeric horizon (A2-type domination)
-    env = 2.0 ** (n + alpha) * far.l1_fp * sigma * R_far ** (-alpha) / alpha
-    return body, hard + env
+    return body, hard + D.tail(R_far)
 
 
 def gagliardo_seminorm(f, alpha, spec):
     """Double integral int int |f(x)-f(y)| / |x-y|^{n+alpha} dy dx."""
     _check_alpha(alpha)
-    v1, e1 = _seminorm_value(f, alpha, spec)
-    v0, _ = _seminorm_value(f, alpha, spec.halved())
-    est = abs(v1 - v0) + e1
-    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+    return _two_resolution(lambda quad: _seminorm_value(f, alpha, quad), spec)
 
 
 def _cube_inner_integral(f, alpha, x, lo, hi, rule, spec):
@@ -587,15 +596,13 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
     bound is returned alongside.
     """
     n = h.dim
-    sigma = sphere_area(n)
-    far = _SupportGridKernel(h, alpha, p=p)
-    near_radius = h.support_radius + 0.5
+    D = _DalphaField(h, alpha, spec, p)
     if weight_field is not None:
         R_num = weight_field.support_radius
     else:
-        R_num = 2.0**spec.outer_shells * (2.0 * h.support_radius + 1.0)
+        R_num = 2.0**spec.outer_shells * D.envelope_radius
 
-    R_panels = min(R_num, 2.0 * h.support_radius + 1.0)
+    R_panels = min(R_num, D.envelope_radius)
     r, w = panel_ladder(spec.gauss_order, R_panels, R_num, uniform=10)
     rule = build_sphere_rule(n, spec.sphere_order)
     X = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
@@ -608,19 +615,10 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
     else:
         wvals = np.ones(X.shape[0])
 
-    rad = np.linalg.norm(X, axis=1)
-    near = rad < near_radius
-    dvals = np.empty(X.shape[0])
-    if np.any(~near):
-        dvals[~near] = far(X[~near])
-    hard = 0.0
-    if np.any(near):
-        vals, core_err = _dalpha_integral_batch(h, (alpha,), X[near], spec, p=p)
-        dvals[near] = vals[:, 0]
-        hard += float(np.sum(core_err[:, 0] * wt[near] * wvals[near]))
+    dvals, hard = D(X, wt, wvals)
     integral = pairwise_sum(wt * wvals * dvals)
     if weight_field is None and include_tail:
-        hard += 2.0 ** (n + alpha * p) * far.l1_fp * sigma * R_num ** (-alpha * p) / (alpha * p)
+        hard += D.tail(R_num)
     return integral ** (1.0 / p), hard
 
 
@@ -643,10 +641,7 @@ def leibniz_gap(f, g, alpha, p, spec):
             c, ec = _lp_norm_of_operator(fg, None, alpha, p, quad, include_tail=True)
         return a + b - c, ea + eb + ec
 
-    v1, e1 = run(spec)
-    v0, _ = run(spec.halved())
-    est = abs(v1 - v0) + e1
-    return OperatorValue(v1, est, True)
+    return replace(_two_resolution(run, spec), converged=True)
 
 
 def linear_kernel_identity(n, direction, alpha, spec):

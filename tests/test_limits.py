@@ -138,6 +138,7 @@ def test_composed_sweep_p1_coincides():
     x = np.array([0.2, 0.1])
     a = composed_limit_sweep(f, x, sched, COARSE)
     b = composed_limit_sweep_p(f, x, 1.0, sched, COARSE)
+    assert a.case_id == "composed:bump2d:n=2:p=1:x=(0.2, 0.1)"
     for ra, rb in zip(a.rows, b.rows):
         assert ra.value == pytest.approx(rb.value, abs=1e-10)
         assert ra.target == pytest.approx(rb.target, abs=1e-10)

@@ -14,8 +14,10 @@ from nonlocal_bbm.fields import (
 )
 from nonlocal_bbm.operators import (
     DecayingFunction,
+    bbm_operator_p,
     bbm_poincare_sides,
     frac_derivative,
+    frac_derivative_field,
     frac_derivative_p,
     frac_derivative_truncated,
     gagliardo_seminorm,
@@ -152,6 +154,66 @@ def test_far_field_domination():
         bound = 2.0 ** (2 + alpha) * l1 * rad ** (-(2 + alpha))
         assert got.value <= bound * (1.0 + 1e-8)
         assert got.value > 0.0
+
+
+FIELD_CASES = [
+    (f, p) for f in (bump(2), modulated_bump(2, [2, 0])) for p in (1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("f, p", FIELD_CASES, ids=lambda v: getattr(v, "name", None))
+def test_frac_derivative_field_near_points_run_the_engine(f, p):
+    # within R0 + 0.5 a point evaluated alone gets the full-resolution value
+    spec = fast_spec(2)
+    g = frac_derivative_field(f, 0.9, spec, p=p)
+    for y in ([0.0, 0.0], [0.2, 0.1], [0.9, -0.6], [-1.3, 0.4]):
+        y = np.array(y)
+        assert g.eval(y)[0] == frac_derivative_p(f, 0.9, p, y, spec).value
+
+
+@pytest.mark.parametrize("f, p", FIELD_CASES, ids=lambda v: getattr(v, "name", None))
+def test_frac_derivative_field_far_kernel_matches_engine(f, p):
+    # just beyond the near radius the support-grid kernel takes over
+    spec = fast_spec(2)
+    g = frac_derivative_field(f, 0.9, spec, p=p)
+    for theta in (0.0, 0.3, 2.0):
+        y = 1.51 * np.array([math.cos(theta), math.sin(theta)])
+        want = frac_derivative_p(f, 0.9, p, y, spec).value
+        assert g.eval(y)[0] == pytest.approx(want, rel=1e-2)
+
+
+@pytest.mark.parametrize("f, p", FIELD_CASES, ids=lambda v: getattr(v, "name", None))
+def test_frac_derivative_field_decay_envelope(f, p):
+    g = frac_derivative_field(f, 0.9, fast_spec(2), p=p)
+    rng = np.random.default_rng(3)
+    rad = g.envelope_radius * np.array([1.0, 1.0, 1.5, 2.0, 4.0, 10.0])
+    theta = rng.uniform(0.0, 2.0 * math.pi, rad.size)
+    Y = rad[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert np.all(g.eval(Y) <= g.decay_constant * rad ** -g.decay_exponent)
+
+
+def test_composed_converged_through_floor():
+    # the composed operator accepts estimates up to 1e-3 of the value even
+    # when the spec asks for less
+    spec = QuadratureSpec(12, 8, 8, 16, target_rel_error=1e-6)
+    out = bbm_operator_p(bump(2), 0.9, 1.0, np.array([0.3, 0.0]), spec)
+    assert 1e-6 * out.value < out.error_estimate <= 1e-3 * out.value
+    assert out.converged and out.note == ""
+
+
+def test_composed_not_converged_carries_note():
+    out = bbm_operator_p(bump(2), 0.7, 2.0, np.array([0.3, 0.0]), fast_spec(2))
+    assert out.error_estimate > 1e-3 * out.value
+    assert not out.converged
+    assert out.note == "outer differencing above target"
+
+
+def test_leibniz_gap_always_converged():
+    # the gap's estimate is not held to the spec's relative target: here it
+    # exceeds the value and the gap is still reported converged
+    out = leibniz_gap(bump(2), bump(2), 0.5, 1.0, fast_spec(2))
+    assert out.error_estimate > out.value > 0.0
+    assert out.converged
 
 
 def test_riesz_validation():
