@@ -83,6 +83,16 @@ def _estimate_norms(n, ev, gr, radius):
     return _SAFETY * sup, _SAFETY * gsup, _SAFETY * hsup
 
 
+def _sq_norm(d):
+    """|d|^2 over the last axis, added coordinate by coordinate: on an
+    (N, n) array this is several times faster than a reduction over the
+    short axis, and gives the same bits."""
+    t = np.square(d[..., 0])
+    for j in range(1, d.shape[-1]):
+        t += np.square(d[..., j])
+    return t
+
+
 def bump(n, center=None, scale=1.0):
     """Canonical C_c^infinity bump exp(-1/(1 - |x-c|^2/s^2)) on |x-c| < s."""
     check_dimension(n)
@@ -93,16 +103,17 @@ def bump(n, center=None, scale=1.0):
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        t = np.sum((x - c) ** 2, axis=-1) / s2
-        out = np.zeros(t.shape)
-        inside = t < 1.0 - 1e-14
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside]))
-        return out
+        u = np.asarray(1.0 - _sq_norm(x - c) / s2)
+        # 1 - t clamped at 1e-14: wherever that bites, exp(-1/(1 - t)) is
+        # already 0 to the last bit, so no inside mask is needed
+        np.fmax(u, 1e-14, out=u)
+        np.divide(-1.0, u, out=u)
+        return np.exp(u, out=u)
 
     def gr(x):
         x = np.asarray(x, dtype=float)
         d = x - c
-        t = np.sum(d**2, axis=-1) / s2
+        t = _sq_norm(d) / s2
         out = np.zeros_like(d)
         inside = t < 1.0 - 1e-14
         w = 1.0 - t[inside]
@@ -132,13 +143,13 @@ def poly_bump(n, k=3, center=None, scale=1.0):
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        t = np.sum((x - c) ** 2, axis=-1) / s2
+        t = _sq_norm(x - c) / s2
         return np.where(t < 1.0, np.clip(1.0 - t, 0.0, None) ** k, 0.0)
 
     def gr(x):
         x = np.asarray(x, dtype=float)
         d = x - c
-        t = np.sum(d**2, axis=-1) / s2
+        t = _sq_norm(d) / s2
         coef = np.where(t < 1.0, -k * np.clip(1.0 - t, 0.0, None) ** (k - 1), 0.0)
         return coef[..., None] * d * (2.0 / s2)
 
@@ -166,7 +177,13 @@ def modulated_bump(n, wavevector, base=None):
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        return np.sin(x @ k) * bev(x)
+        b = bev(x)
+        # the sine only where the base is nonzero: many nodes of a wide
+        # quadrature lie outside the support
+        s = np.asarray(x @ k)
+        np.sin(s, out=s, where=b != 0.0)
+        s *= b
+        return s
 
     def gr(x):
         x = np.asarray(x, dtype=float)
