@@ -54,8 +54,7 @@ _CONFIG_KEYS = {
 _FIELD_KEYS = {"name", "params"}
 _OUTPUT_KEYS = {"csv", "json"}
 _QUAD_KEYS = {
-    "inner_shells", "outer_shells", "gauss_order", "sphere_order",
-    "tail_policy", "target_rel_error",
+    "inner_shells", "outer_shells", "gauss_order", "sphere_order", "target_rel_error",
 }
 
 

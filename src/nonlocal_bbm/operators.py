@@ -94,19 +94,6 @@ def _as_point(x, n):
     return np.asarray(x, dtype=float).reshape(n)
 
 
-def _offset_chunks(r, w, rule, radial_power, max_points):
-    """Flattened (offset, weight) chunks for a polar grid: offsets r * omega
-    with weights w_r r^power w_omega, chunked along the radial axis."""
-    per_r = rule.size
-    rows = max(1, max_points // per_r)
-    for i in range(0, r.size, rows):
-        rr = r[i : i + rows]
-        ww = w[i : i + rows] * rr**radial_power
-        offs = (rr[:, None, None] * rule.nodes[None, :, :]).reshape(-1, rule.dim)
-        wts = (ww[:, None] * rule.weights[None, :]).ravel()
-        yield offs, wts
-
-
 def _translates(X, offs):
     """The (M * K, n) array of X[i] + offs[j] for X (M, n) and offs (K, n).
     Filled one coordinate at a time: a broadcast add over the short last
@@ -209,26 +196,25 @@ def _frac_derivative_schedule(f, alphas, p, x, spec):
     for k in range(len(alphas)):
         val = float(v1[0, k]) ** (1.0 / p)
         val0 = float(v0[0, k]) ** (1.0 / p)
-        est = abs(val - val0)
-        if val > 0:
-            est += float(e1[0, k]) * val ** (1.0 - p) / p
-        out.append(OperatorValue(
-            value=val,
-            error_estimate=est,
-            converged=est <= spec.target_rel_error * abs(val) + 1e-300,
-        ))
+        hard = float(e1[0, k]) * val ** (1.0 - p) / p if val > 0 else 0.0
+        out.append(_estimate(val, val0, hard, spec))
     return out
 
 
+def _estimate(v1, v0, hard, spec):
+    """OperatorValue of v1 whose estimate is the difference against the
+    half-resolution value v0 plus the hard bound; converged means the
+    estimate meets the spec's relative target."""
+    est = abs(v1 - v0) + hard
+    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+
+
 def _two_resolution(run, spec):
-    """OperatorValue of a single-resolution ``run(spec) -> (value, hard)``:
-    the estimate is the difference against the same run at half resolution
-    plus the hard bound, and converged means it meets the spec's relative
-    target."""
+    """OperatorValue of a single-resolution ``run(spec) -> (value, hard)``,
+    run at the spec and at half resolution."""
     v1, e1 = run(spec)
     v0, _ = run(spec.halved())
-    est = abs(v1 - v0) + e1
-    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+    return _estimate(v1, v0, e1, spec)
 
 
 def frac_derivative(f, alpha, x, spec):
@@ -366,25 +352,20 @@ def _riesz_value(g, alpha, x, spec):
     x = _as_point(x, n)
     # The kernel r^{alpha-1} is integrable and mild, so the ladder below the
     # reference radius needs far fewer dyadic levels than the derivative's.
-    n_inner = min(spec.inner_shells, 12)
-    delta = 2.0**-n_inner
+    delta = 2.0 ** -min(spec.inner_shells, 12)
 
     if g.support_radius is not None:
         R_num = float(np.linalg.norm(x)) + g.support_radius + 0.5
-        tail, tail_err = 0.0, 0.0
+        tail = 0.0
     else:
         R_num = 2.0**spec.outer_shells * max(1.0, float(np.linalg.norm(x)))
         d = g.decay_exponent
-        env = (
+        tail = (
             sigma
             * g.decay_constant
             * (R_num - float(np.linalg.norm(x))) ** (alpha - d)
             / (d - alpha)
         )
-        if spec.tail_policy == "analytic":
-            tail, tail_err = env, env
-        else:
-            tail, tail_err = 0.0, env
 
     # Dyadic below 1; above it the integrand's sharpest features sit where
     # the rays cross the source region, i.e. radii up to |x| plus the source
@@ -396,11 +377,15 @@ def _riesz_value(g, alpha, x, spec):
     gx = float(g.eval(x[None, :])[0])
     core = gx * sigma * delta**alpha / alpha
     acc = 0.0
-    for offs, wts in _offset_chunks(r, w, rule, alpha - 1.0, _CHUNK_ELEMS):
-        vals = g.eval(x[None, :] + offs)
-        acc += pairwise_sum(vals * wts)
+    rows = max(1, _CHUNK_ELEMS // rule.size)
+    for i in range(0, r.size, rows):
+        rr = r[i : i + rows]
+        ww = w[i : i + rows] * rr ** (alpha - 1.0)
+        offs = (rr[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
+        wts = (ww[:, None] * rule.weights[None, :]).ravel()
+        acc += pairwise_sum(g.eval(x[None, :] + offs) * wts)
     gamma = riesz_constant(n, alpha)
-    return gamma * (core + acc + tail), gamma * tail_err
+    return gamma * (core + acc + tail), gamma * tail
 
 
 def riesz_potential(g, alpha, x, spec):
@@ -413,38 +398,37 @@ def riesz_potential(g, alpha, x, spec):
     return _two_resolution(lambda quad: _riesz_value(g, alpha, x, quad), spec)
 
 
+def _supported(f, ev):
+    """The DecayingFunction of values ``ev(Y)`` that vanish beyond the
+    support of the TestField f."""
+    return DecayingFunction(
+        dim=f.dim,
+        eval=ev,
+        decay_exponent=float("inf"),
+        decay_constant=0.0,
+        support_radius=f.support_radius,
+    )
+
+
 def riesz_of_field_values(f, alpha, X, spec):
     """Batched I_alpha of a compactly supported TestField at points X.
 
     Points beyond the support see no kernel singularity and only a narrow
     angular window of source mass, so they go through a plain tensor-grid
-    convolution over the support box instead of the polar engine.
+    convolution over the support box.  The others go one at a time through
+    the polar Riesz ladder, so their values do not depend on the batch.
     """
     n = f.dim
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    R0 = f.support_radius
     out = np.empty(X.shape[0])
-    rad = np.linalg.norm(X, axis=1)
-    near = rad < R0 + 0.4
-
+    near = np.linalg.norm(X, axis=1) < f.support_radius + 0.4
     if np.any(~near):
         far = _SupportGridKernel(f, 64 if n <= 2 else 24, f.eval, alpha - n)
-        out[~near] = far(X[~near])
-
-    if np.any(near):
-        Xn = X[near]
-        rule = build_sphere_rule(n, spec.sphere_order)
-        sigma = sphere_area(n)
-        delta = 2.0**-spec.inner_shells
-        R_big = float(np.max(np.linalg.norm(Xn, axis=1))) + R0 + 0.5
-        r, w = radial_ladder(1.0, R_big, spec)
-        fx = f.eval(Xn)
-        acc = fx * sigma * delta**alpha / alpha
-        M = Xn.shape[0]
-        for offs, wts in _offset_chunks(r, w, rule, alpha - 1.0, _CHUNK_ELEMS // max(1, M)):
-            acc += f.eval(_translates(Xn, offs)).reshape(M, -1) @ wts
-        out[near] = acc
-    return riesz_constant(n, alpha) * out
+        out[~near] = riesz_constant(n, alpha) * far(X[~near])
+    g = _supported(f, f.eval)
+    for i in np.flatnonzero(near):
+        out[i] = _riesz_value(g, alpha, X[i], spec)[0]
+    return out
 
 
 def riesz_of_gradient(f, x, spec):
@@ -465,17 +449,8 @@ def riesz_of_gradient(f, x, spec):
             d = np.linalg.norm(x[None, :] - Z, axis=1)
             return riesz_constant(n, 1.0) * pairwise_sum(wz * gv * d ** (1.0 - n))
         m = 96 if n == 2 else 32
-        v1 = grid_value(m)
-        v0 = grid_value((2 * m) // 3)
-        est = abs(v1 - v0)
-        return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
-    g = DecayingFunction(
-        dim=n,
-        eval=lambda Y: np.linalg.norm(f.grad(np.atleast_2d(Y)), axis=-1),
-        decay_exponent=float("inf"),
-        decay_constant=0.0,
-        support_radius=f.support_radius,
-    )
+        return _estimate(grid_value(m), grid_value((2 * m) // 3), 0.0, spec)
+    g = _supported(f, lambda Y: np.linalg.norm(f.grad(np.atleast_2d(Y)), axis=-1))
     return riesz_potential(g, 1.0, x, spec)
 
 
@@ -606,7 +581,7 @@ def bbm_poincare_sides(f, cube_center, side, alpha, spec, grid_per_axis=12):
     return lhs, rhs
 
 
-def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
+def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     """|| weight_field * D^alpha_p h ||_{L^p} by polar outer quadrature.
 
     ``weight_field`` of None means the plain norm of the operator output, in
@@ -635,7 +610,7 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec, include_tail):
 
     dvals, hard = D(X, wt, wvals)
     integral = pairwise_sum(wt * wvals * dvals)
-    if weight_field is None and include_tail:
+    if weight_field is None:
         hard += D.tail(R_num)
     return integral ** (1.0 / p), hard
 
@@ -651,12 +626,12 @@ def leibniz_gap(f, g, alpha, p, spec):
     fg = product(f, g)
 
     def run(quad):
-        a, ea = _lp_norm_of_operator(g, f, alpha, p, quad, include_tail=False)
-        b, eb = _lp_norm_of_operator(f, g, alpha, p, quad, include_tail=False)
+        a, ea = _lp_norm_of_operator(g, f, alpha, p, quad)
+        b, eb = _lp_norm_of_operator(f, g, alpha, p, quad)
         if fg.sup_norm == 0.0:
             c, ec = 0.0, 0.0
         else:
-            c, ec = _lp_norm_of_operator(fg, None, alpha, p, quad, include_tail=True)
+            c, ec = _lp_norm_of_operator(fg, None, alpha, p, quad)
         return a + b - c, ea + eb + ec
 
     return replace(_two_resolution(run, spec), converged=True)

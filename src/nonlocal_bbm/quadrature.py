@@ -12,6 +12,8 @@ kinked integrands |w . e| that dominate this problem; panel rules aligned
 with the kink directions integrate them to machine precision.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -222,18 +224,24 @@ class QuadratureSpec:
     outer_shells: int = 30
     gauss_order: int = 16
     sphere_order: int = 128
-    tail_policy: str = "analytic"
     target_rel_error: float = 1e-6
 
     def __post_init__(self):
+        for name in ("inner_shells", "outer_shells", "gauss_order", "sphere_order"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise TypeError(f"{name} must be an int, got {v!r}")
         if self.inner_shells < 4 or self.outer_shells < 4:
             raise ValueError("inner_shells and outer_shells must be >= 4")
         if self.gauss_order < 8:
             raise ValueError("gauss_order must be >= 8")
         if self.sphere_order < 8:
             raise ValueError("sphere_order must be >= 8")
-        if self.tail_policy not in ("analytic", "truncate"):
-            raise ValueError(f"unknown tail_policy {self.tail_policy!r}")
+        t = self.target_rel_error
+        if not isinstance(t, numbers.Real) or isinstance(t, bool):
+            raise TypeError(f"target_rel_error must be a number, got {t!r}")
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"target_rel_error must be finite and > 0, got {t!r}")
 
     def halved(self):
         """Spec at half resolution, used for a-posteriori differencing."""
@@ -276,14 +284,13 @@ def composed_spec(n=2):
     )
 
 
-def radial_ladder(r_mid, r_max, spec, n_inner=None):
-    """Gauss nodes on a dyadic ladder from 2^{-K_in} r_mid up to r_max.
+def radial_ladder(r_mid, r_max, spec):
+    """Gauss nodes on a dyadic ladder from 2^{-inner_shells} r_mid up to r_max.
 
     Shells double until they pass r_max; the last one is clipped.  Returns
     flat (nodes, weights) arrays in increasing radius order.
     """
-    k_in = spec.inner_shells if n_inner is None else n_inner
-    return panel_ladder(spec.gauss_order, r_mid * 2.0**-k_in, r_max)
+    return panel_ladder(spec.gauss_order, r_mid * 2.0**-spec.inner_shells, r_max)
 
 
 # ---------------------------------------------------------------------------

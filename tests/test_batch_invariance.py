@@ -1,15 +1,22 @@
-"""A point's D^alpha value does not depend on what is batched with it: not on
-the other rows of X, not on the other alphas of the call, and not on the
-CLI's thread count.  All comparisons are bit for bit."""
+"""A point's D^alpha or I_alpha value does not depend on what is batched with
+it: not on the other rows of X, not on the other alphas of the call, and not
+on the CLI's thread count.  All comparisons are bit for bit."""
 
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonlocal_bbm.cli import main
 from nonlocal_bbm.fields import bump, modulated_bump, poly_bump
-from nonlocal_bbm.operators import _dalpha_integral_batch
+from nonlocal_bbm.operators import (
+    DecayingFunction,
+    _dalpha_integral_batch,
+    riesz_of_field_values,
+    riesz_potential,
+)
 from nonlocal_bbm.quadrature import QuadratureSpec
 
 SPEC = QuadratureSpec(inner_shells=10, outer_shells=8, gauss_order=8, sphere_order=16)
@@ -60,6 +67,29 @@ def test_alpha_column_matches_scalar_call(name, x, alphas, p):
         one, one_err = _dalpha_integral_batch(f, (a,), X, SPEC, p=p)
         assert np.array_equal(one[:, 0], vals[:, k])
         assert np.array_equal(one_err[:, 0], errs[:, k])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_riesz_row_does_not_depend_on_batch(name, alpha):
+    f = FIELDS[name]
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(24, 2))
+    near = np.linalg.norm(X, axis=1) < f.support_radius + 0.4
+    assert near.any() and not near.all()
+    vals = riesz_of_field_values(f, alpha, X, SPEC)
+    # a near row is the Riesz ladder's value for f as a supported function
+    g = DecayingFunction(
+        dim=2, eval=f.eval, decay_exponent=math.inf, decay_constant=0.0,
+        support_radius=f.support_radius,
+    )
+    for i in np.flatnonzero(near):
+        assert riesz_of_field_values(f, alpha, X[i : i + 1], SPEC)[0] == vals[i]
+        assert riesz_potential(g, alpha, X[i], SPEC).value == vals[i]
+    # the far rows share one support-grid product, whose BLAS matrix-vector
+    # kernel ties a row's last bits to its place in that product; the near
+    # rows do not enter it
+    far = riesz_of_field_values(f, alpha, X[~near], SPEC)
+    assert np.array_equal(far, vals[~near])
 
 
 @settings(

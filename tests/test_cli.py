@@ -228,6 +228,21 @@ def test_composed_schedule_at_half_is_config_error(tmp_path, capsys):
     }, ["'schedule'"])
 
 
+@pytest.mark.parametrize("quad", [
+    {"gauss_order": 16.5},
+    {"target_rel_error": "x"},
+    {"sphere_order": 64.5},
+    {"inner_shells": 12.5},
+    {"target_rel_error": -1},
+    {"tail_policy": "analytic"},
+])
+def test_bad_quadrature_is_config_error(tmp_path, capsys, quad):
+    _expect_config_error(tmp_path, capsys, "eval", {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0]],
+        "quadrature": {**_coarse_quad(), **quad},
+    }, ["quadrature", *quad])
+
+
 class TestCompareGolden:
     def _report(self, tmp_path):
         cfgp = _write_config(tmp_path / "c.json", {

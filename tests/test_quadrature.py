@@ -82,9 +82,20 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(inner_shells=40, outer_shells=30, gauss_order=16,
                        sphere_order=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(inner_shells=40, outer_shells=30, gauss_order=16,
-                       sphere_order=64, tail_policy="drop")
+    for bad in (
+        {"gauss_order": 16.5},
+        {"sphere_order": 64.5},
+        {"inner_shells": 12.5},
+        {"inner_shells": True},
+        {"target_rel_error": "x"},
+        {"target_rel_error": None},
+    ):
+        with pytest.raises(TypeError):
+            QuadratureSpec(**bad)
+    for bad in (-1, 0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureSpec(target_rel_error=bad)
+    assert QuadratureSpec(sphere_order=np.int64(64), target_rel_error=1).sphere_order == 64
 
 
 def test_spec_halved():
