@@ -98,6 +98,16 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
 
 
+def _has_non_finite(obj):
+    """Whether a parsed JSON value holds a NaN or an infinity, which
+    ``json.load`` accepts."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return isinstance(obj, list) and any(_has_non_finite(v) for v in obj)
+
+
 def parse_config(path, quad_preset=None):
     """Load and validate a run config; raises ConfigError on any violation."""
     try:
@@ -122,6 +132,8 @@ def parse_config(path, quad_preset=None):
     params = fld.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'field.params': must be an object")
+    if _has_non_finite(params):
+        raise ConfigError(f"field 'field': parameters must be finite, got {params!r}")
 
     pts_raw = doc.get("points", [[0.0] * n])
     if not isinstance(pts_raw, list) or not pts_raw:
@@ -186,8 +198,8 @@ def parse_config(path, quad_preset=None):
         raise ConfigError(f"field 'mode': must be one of {_MODES}, got {mode!r}")
 
     p = doc.get("p", 1.0)
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 1:
-        raise ConfigError(f"field 'p': must be a number >= 1, got {p!r}")
+    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 1 <= p < math.inf:
+        raise ConfigError(f"field 'p': must be a finite number >= 1, got {p!r}")
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):

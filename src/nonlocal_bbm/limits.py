@@ -11,10 +11,9 @@ import numpy as np
 from .constants import bbm_constant, bbm_constant_p, check_dimension, sphere_area
 from .fields import w11_norms
 from .operators import (
+    _bbm_schedule,
     _frac_derivative_schedule,
-    bbm_operator,
-    bbm_operator_p,
-    gagliardo_seminorm,
+    _seminorm_schedule,
     riesz_of_gradient,
 )
 
@@ -182,7 +181,7 @@ def composed_limit_sweep_p(f, x, p, schedule, spec):
     return _sweep_report(
         f"composed:{f.name}:n={n}:p={p:g}:x={tuple(round(float(c), 6) for c in x)}",
         "K_{n,p} I_1(|grad f|)(x)", target, schedule.values,
-        [bbm_operator_p(f, a, p, x, spec) for a in schedule.values],
+        _bbm_schedule(f, schedule.values, p, x, spec),
         flag_gap=True,
     )
 
@@ -194,7 +193,8 @@ def seminorm_limit_sweep(f, schedule, spec):
     return _sweep_report(
         f"seminorm:{f.name}:n={n}", "K_n ||grad f||_L1",
         bbm_constant(n, allow_dim_one=True) * grad_l1, schedule.values,
-        [_scaled(gagliardo_seminorm(f, a, spec), 1.0 - a) for a in schedule.values],
+        [_scaled(sv, 1.0 - a) for a, sv in zip(
+            schedule.values, _seminorm_schedule(f, schedule.values, spec))],
     )
 
 
@@ -287,8 +287,7 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
 
     f_l1, grad_l1 = w11_norms(f, spec)
     outer_rhs = 2.0 * sigma * (f_l1 + grad_l1)
-    for a in schedule.values:
-        sv = gagliardo_seminorm(f, a, spec)
+    for a, sv in zip(schedule.values, _seminorm_schedule(f, schedule.values, spec)):
         lhs = a * (1.0 - a) * sv.value
         err = a * (1.0 - a) * sv.error_estimate
         mid = sigma * (a * grad_l1 + 2.0 * (1.0 - a) * f_l1)
@@ -302,13 +301,15 @@ def inequality_audit(f, schedule, points, spec, include_potential_rows=True):
             note=f"outer bound {outer_rhs:.6g}",
         ))
 
-    if include_potential_rows and n >= 2:
-        comp_alphas = [a for a in schedule.values if a > 0.5]
-        # I_1(|grad f|)(x) does not depend on alpha
-        targets = [riesz_of_gradient(f, x, spec) for x in pts] if comp_alphas else []
-        for a in comp_alphas:
-            for x, rg in zip(pts, targets):
-                comp = bbm_operator(f, a, x, spec)
+    comp_alphas = tuple(a for a in schedule.values if a > 0.5)
+    if include_potential_rows and n >= 2 and comp_alphas:
+        # I_1(|grad f|)(x) does not depend on alpha, and one composed pass
+        # per point serves the whole schedule
+        targets = [riesz_of_gradient(f, x, spec) for x in pts]
+        comps = [_bbm_schedule(f, comp_alphas, 1.0, x, spec) for x in pts]
+        for k, a in enumerate(comp_alphas):
+            for x, rg, point_comps in zip(pts, targets, comps):
+                comp = point_comps[k]
                 fx = abs(float(f.eval(x[None, :])[0]))
                 rows.append(_ratio_row("subrep_ratio", a, x, fx, comp.value, math.nan,
                                        comp.converged))

@@ -16,6 +16,13 @@ share one field evaluation per node and differ only in their radial weights
 and in the closed-form core and tail.  Its chunking and reduction order are
 set by the spec alone, which makes a point's value independent of the batch
 it was evaluated in.
+
+The layers above it take the same tuple.  ``_DalphaField`` returns one
+column per alpha, and its support-grid kernel forms |y - z|^2 once for all
+exponents; ``_riesz_value``'s nodes do not depend on alpha either.  So a
+composed sweep, a seminorm sweep and the audit's composed and seminorm rows
+each run one D^alpha field pass and one Riesz ladder per resolution for the
+whole schedule, and every column keeps the bits of a one-alpha call.
 """
 
 from dataclasses import dataclass, replace
@@ -190,15 +197,14 @@ def _frac_derivative_schedule(f, alphas, p, x, spec):
     X = _as_point(x, f.dim)[None, :]
     if not np.all(np.isfinite(X)):
         raise ValueError(f"evaluation point must be finite, got {X[0].tolist()}")
-    v1, e1 = _dalpha_integral_batch(f, alphas, X, spec, p=p)
-    v0, _ = _dalpha_integral_batch(f, alphas, X, spec.halved(), p=p)
-    out = []
-    for k in range(len(alphas)):
-        val = float(v1[0, k]) ** (1.0 / p)
-        val0 = float(v0[0, k]) ** (1.0 / p)
-        hard = float(e1[0, k]) * val ** (1.0 - p) / p if val > 0 else 0.0
-        out.append(_estimate(val, val0, hard, spec))
-    return out
+
+    def run(quad):
+        v, e = _dalpha_integral_batch(f, alphas, X, quad, p=p)
+        vals = [c ** (1.0 / p) for c in v[0].tolist()]
+        hard = [c * u ** (1.0 - p) / p if u > 0 else 0.0 for c, u in zip(e[0].tolist(), vals)]
+        return vals, hard
+
+    return _two_resolution(run, spec)
 
 
 def _estimate(v1, v0, hard, spec):
@@ -210,11 +216,11 @@ def _estimate(v1, v0, hard, spec):
 
 
 def _two_resolution(run, spec):
-    """OperatorValue of a single-resolution ``run(spec) -> (value, hard)``,
-    run at the spec and at half resolution."""
+    """One OperatorValue per entry of a single-resolution
+    ``run(spec) -> (values, hards)``, run at the spec and at half resolution."""
     v1, e1 = run(spec)
     v0, _ = run(spec.halved())
-    return _estimate(v1, v0, e1, spec)
+    return [_estimate(a, b, e, spec) for a, b, e in zip(v1, v0, e1)]
 
 
 def frac_derivative(f, alpha, x, spec):
@@ -236,102 +242,120 @@ def frac_derivative_truncated(f, alpha, x, radius, spec):
 
     def run(quad):
         v, e = _dalpha_integral_batch(f, (alpha,), X, quad, r_max=radius, with_tail=False)
-        return float(v[0, 0]), float(e[0, 0])
+        return v[0].tolist(), e[0].tolist()
 
-    return _two_resolution(run, spec)
+    return _two_resolution(run, spec)[0]
 
 
 class _SupportGridKernel:
-    """The support-box convolution y -> sum_z c_z |y - z|^expo, where c_z is
-    the tensor Gauss weight of an ``order``^n grid over [-R0, R0]^n times
-    ``density(z)``.  For y away from the support the integrand is smooth, so
-    a fixed grid serves; ``mass`` is sum_z c_z."""
+    """The support-box convolutions y -> sum_z c_z |y - z|^e, one column per
+    exponent e of ``expos``, where c_z is the tensor Gauss weight of an
+    ``order``^n grid over [-R0, R0]^n times ``density(z)``.  For y away from
+    the support the integrand is smooth, so a fixed grid serves."""
 
-    def __init__(self, f, order, density, expo):
+    def __init__(self, f, order, density, expos):
         R0 = f.support_radius
         Z, wz = box_rule(-R0, R0, f.dim, order)
         c = wz * density(Z)
-        # summed before the zeros are dropped, which fixes its rounding
+        # sum_z c_z, summed before the zeros are dropped to fix its rounding
         self.mass = float(np.sum(c))
         keep = c != 0.0
         self.Z = Z[keep]
         self.c = c[keep]
-        self.expo = expo
+        self.expos = tuple(expos)
 
     def __call__(self, Y):
         Y = np.atleast_2d(Y)
-        out = np.empty(Y.shape[0])
+        out = np.empty((Y.shape[0], len(self.expos)))
+        # a row's last bits depend on its place in the d2 @ c product, so
+        # the chunk rows depend on the grid alone
         rows = max(1, _CHUNK_ELEMS // max(1, self.Z.shape[0]))
+        # two chunk buffers for the whole call: fresh ones per chunk would
+        # briefly hold both chunks' buffers at once
+        d2_buf = np.empty((min(rows, Y.shape[0]), self.Z.shape[0]))
+        t_buf = np.empty_like(d2_buf)
         for i in range(0, Y.shape[0], rows):
             Yb = Y[i : i + rows]
-            # |y - z|^2 coordinate by coordinate, then the power in place
-            d2 = np.square(Yb[:, None, 0] - self.Z[None, :, 0])
+            d2, t = d2_buf[: Yb.shape[0]], t_buf[: Yb.shape[0]]
+            # |y - z|^2 coordinate by coordinate, formed once for all exponents
+            np.square(np.subtract(Yb[:, None, 0], self.Z[None, :, 0], out=d2), out=d2)
             for j in range(1, Y.shape[1]):
-                t = Yb[:, None, j] - self.Z[None, :, j]
+                np.subtract(Yb[:, None, j], self.Z[None, :, j], out=t)
                 d2 += np.square(t, out=t)
-            np.power(d2, self.expo / 2.0, out=d2)
-            out[i : i + rows] = d2 @ self.c
+            for k, e in enumerate(self.expos):
+                np.power(d2, e / 2.0, out=t)
+                out[i : i + rows, k] = t @ self.c
         return out
 
 
 class _DalphaField:
-    """D^alpha_p f before its 1/p root as a function of y, evaluated over
-    whole node sets of an outer quadrature.  Within ``near_radius`` the
-    shell engine runs, batched over the near points; beyond it the integral
-    collapses to int_supp |f(z)|^p |y-z|^{-(n + alpha p)} dz, the
-    support-grid convolution.  For |y| >= ``envelope_radius`` the value is
-    at most ``envelope`` |y|^{-(n + alpha p)}, with the envelope constant
-    2^{n + alpha p} ||f^p||_1.
+    """D^alpha_p f before its 1/p root as a function of y, one column per
+    alpha, evaluated over whole node sets of an outer quadrature.  Within
+    ``near_radius`` the shell engine runs, batched over the near points;
+    beyond it the integral collapses to int_supp |f(z)|^p |y-z|^{-(n+alpha p)}
+    dz, the support-grid convolution.  For |y| >= ``envelope_radius`` the
+    value is at most ``envelope[k]`` |y|^{-(n + alpha p)}, with the envelope
+    constant 2^{n + alpha p} ||f^p||_1.
     """
 
-    def __init__(self, f, alpha, spec, p=1.0):
+    def __init__(self, f, alphas, spec, p=1.0):
         n = f.dim
-        self.f, self.alpha, self.spec, self.p = f, alpha, spec, p
+        self.f, self.alphas, self.spec, self.p = f, tuple(alphas), spec, p
         self.near_radius = f.support_radius + 0.5
         self.envelope_radius = 2.0 * f.support_radius + 1.0
         self.kernel = _SupportGridKernel(
-            f, 40 if n <= 2 else 24, lambda Z: np.abs(f.eval(Z)) ** p, -(n + alpha * p)
+            f, 40 if n <= 2 else 24, lambda Z: np.abs(f.eval(Z)) ** p,
+            [-(n + a * p) for a in self.alphas],
         )
-        self.envelope = 2.0 ** (n + alpha * p) * self.kernel.mass
+        self.envelope = [2.0 ** (n + a * p) * self.kernel.mass for a in self.alphas]
 
     def __call__(self, Y, *weights):
-        """Values at Y, and the Taylor-core bounds of the near points
-        multiplied by each of ``weights`` in turn and summed."""
+        """Values at Y, shape (M, A), and per alpha the Taylor-core bounds of
+        the near points multiplied by each of ``weights`` in turn and summed."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.empty(Y.shape[0])
+        A = len(self.alphas)
+        out = np.empty((Y.shape[0], A))
         near = np.linalg.norm(Y, axis=1) < self.near_radius
         if np.any(~near):
             out[~near] = self.kernel(Y[~near])
-        hard = 0.0
+        hard = [0.0] * A
         if np.any(near):
-            vals, core_err = _dalpha_integral_batch(
-                self.f, (self.alpha,), Y[near], self.spec, p=self.p
+            out[near], core_err = _dalpha_integral_batch(
+                self.f, self.alphas, Y[near], self.spec, p=self.p
             )
-            out[near] = vals[:, 0]
-            bound = core_err[:, 0]
-            for w in weights:
-                bound = bound * w[near]
-            hard = float(np.sum(bound))
+            for k in range(A):
+                bound = np.ascontiguousarray(core_err[:, k])
+                for w in weights:
+                    bound = bound * w[near]
+                hard[k] = float(np.sum(bound))
         return out, hard
 
     def tail(self, R):
-        """Envelope bound on the integral of the values over |y| > R."""
-        ap = self.alpha * self.p
-        return self.envelope * sphere_area(self.f.dim) * R ** (-ap) / ap
+        """Per alpha, the envelope bound on the integral over |y| > R."""
+        ap = [a * self.p for a in self.alphas]
+        return [env * sphere_area(self.f.dim) * R ** (-x) / x for env, x in zip(self.envelope, ap)]
+
+
+def _dalpha_decaying(f, alphas, spec, p):
+    """D^alpha_p f as a DecayingFunction with one eval column, decay exponent
+    and decay constant per alpha."""
+    D = _DalphaField(f, alphas, spec, p)
+    return DecayingFunction(
+        dim=f.dim,
+        eval=lambda Y: D(Y)[0] ** (1.0 / p),
+        decay_exponent=tuple(f.dim / p + a for a in D.alphas),
+        decay_constant=tuple(env ** (1.0 / p) for env in D.envelope),
+        envelope_radius=D.envelope_radius,
+    )
 
 
 def frac_derivative_field(f, alpha, spec, p=1.0):
     """The nonlocal derivative as an evaluable decaying function of y, with
     the decay envelope of ``_DalphaField``."""
     _check_alpha(alpha)
-    D = _DalphaField(f, alpha, spec, p)
-    return DecayingFunction(
-        dim=f.dim,
-        eval=lambda Y: D(Y)[0] ** (1.0 / p),
-        decay_exponent=f.dim / p + alpha,
-        decay_constant=D.envelope ** (1.0 / p),
-        envelope_radius=D.envelope_radius,
-    )
+    g = _dalpha_decaying(f, (alpha,), spec, p)
+    (d,), (c,) = g.decay_exponent, g.decay_constant
+    return replace(g, eval=lambda Y: g.eval(Y)[:, 0], decay_exponent=d, decay_constant=c)
 
 
 # ---------------------------------------------------------------------------
@@ -339,53 +363,56 @@ def frac_derivative_field(f, alpha, spec, p=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _riesz_value(g, alpha, x, spec):
-    """Single-resolution Riesz potential of a DecayingFunction at x.
+def _riesz_value(g, alphas, x, spec):
+    """Single-resolution Riesz potentials of a DecayingFunction at x.
 
-    Returns (value, hard_error).  The integrand ~ r^{alpha-1} near zero is
+    Returns (values, hard_errors), one entry per alpha of ``alphas``.  The
+    nodes do not depend on alpha, so ``g.eval`` returns one column per alpha
+    (1-D for one alpha), and an enveloped g has one decay exponent and
+    constant per column.  The integrand ~ r^{alpha-1} near zero is
     integrable; the gap below the innermost shell is filled with the local
     value g(x) whose radial integral is exact.
     """
     n = g.dim
+    A = len(alphas)
     rule = build_sphere_rule(n, spec.sphere_order)
     sigma = sphere_area(n)
     x = _as_point(x, n)
+    xn = float(np.linalg.norm(x))
     # The kernel r^{alpha-1} is integrable and mild, so the ladder below the
     # reference radius needs far fewer dyadic levels than the derivative's.
     delta = 2.0 ** -min(spec.inner_shells, 12)
 
     if g.support_radius is not None:
-        R_num = float(np.linalg.norm(x)) + g.support_radius + 0.5
-        tail = 0.0
+        R_num = xn + g.support_radius + 0.5
+        tails = [0.0] * A
     else:
-        R_num = 2.0**spec.outer_shells * max(1.0, float(np.linalg.norm(x)))
-        d = g.decay_exponent
-        tail = (
-            sigma
-            * g.decay_constant
-            * (R_num - float(np.linalg.norm(x))) ** (alpha - d)
-            / (d - alpha)
-        )
+        R_num = 2.0**spec.outer_shells * max(1.0, xn)
+        ds, cs = (np.broadcast_to(v, A).tolist() for v in (g.decay_exponent, g.decay_constant))
+        tails = [sigma * c * (R_num - xn) ** (a - d) / (d - a) for a, d, c in zip(alphas, ds, cs)]
 
     # Dyadic below 1; above it the integrand's sharpest features sit where
     # the rays cross the source region, i.e. radii up to |x| plus the source
     # extent, so panels there grow by 1.25 and only double farther out.
-    r_fine = min(R_num, max(4.0, float(np.linalg.norm(x)) + 2.0))
+    r_fine = min(R_num, max(4.0, xn + 2.0))
     r, w = panel_ladder(
         spec.gauss_order, delta, R_num, growth=lambda lo: 1.25 if 1.0 <= lo < r_fine else 2.0
     )
-    gx = float(g.eval(x[None, :])[0])
-    core = gx * sigma * delta**alpha / alpha
-    acc = 0.0
+    gx = g.eval(x[None, :]).reshape(-1).tolist()
+    acc = [0.0] * A
     rows = max(1, _CHUNK_ELEMS // rule.size)
     for i in range(0, r.size, rows):
         rr = r[i : i + rows]
-        ww = w[i : i + rows] * rr ** (alpha - 1.0)
         offs = (rr[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
-        wts = (ww[:, None] * rule.weights[None, :]).ravel()
-        acc += pairwise_sum(g.eval(x[None, :] + offs) * wts)
-    gamma = riesz_constant(n, alpha)
-    return gamma * (core + acc + tail), gamma * tail
+        vals = g.eval(x[None, :] + offs).reshape(offs.shape[0], -1)
+        for k, a in enumerate(alphas):
+            ww = w[i : i + rows] * rr ** (a - 1.0)
+            wts = (ww[:, None] * rule.weights[None, :]).ravel()
+            acc[k] += pairwise_sum(vals[:, k] * wts)
+    gammas = [riesz_constant(n, a) for a in alphas]
+    cores = [gxk * sigma * delta**a / a for gxk, a in zip(gx, alphas)]
+    values = [gm * (c + s + t) for gm, c, s, t in zip(gammas, cores, acc, tails)]
+    return values, [gm * t for gm, t in zip(gammas, tails)]
 
 
 def riesz_potential(g, alpha, x, spec):
@@ -395,7 +422,7 @@ def riesz_potential(g, alpha, x, spec):
         raise ValueError(f"alpha must be in (0, n={n}), got {alpha}")
     if g.support_radius is None and g.decay_exponent <= alpha:
         raise ValueError("decay too weak: need decay_exponent > alpha")
-    return _two_resolution(lambda quad: _riesz_value(g, alpha, x, quad), spec)
+    return _two_resolution(lambda quad: _riesz_value(g, (alpha,), x, quad), spec)[0]
 
 
 def _supported(f, ev):
@@ -423,11 +450,11 @@ def riesz_of_field_values(f, alpha, X, spec):
     out = np.empty(X.shape[0])
     near = np.linalg.norm(X, axis=1) < f.support_radius + 0.4
     if np.any(~near):
-        far = _SupportGridKernel(f, 64 if n <= 2 else 24, f.eval, alpha - n)
-        out[~near] = riesz_constant(n, alpha) * far(X[~near])
+        far = _SupportGridKernel(f, 64 if n <= 2 else 24, f.eval, (alpha - n,))
+        out[~near] = riesz_constant(n, alpha) * far(X[~near])[:, 0]
     g = _supported(f, f.eval)
     for i in np.flatnonzero(near):
-        out[i] = _riesz_value(g, alpha, X[i], spec)[0]
+        out[i] = _riesz_value(g, (alpha,), X[i], spec)[0][0]
     return out
 
 
@@ -459,9 +486,32 @@ def riesz_of_gradient(f, x, spec):
 # ---------------------------------------------------------------------------
 
 
-def _composed_value(f, alpha, p, x, spec):
-    g = frac_derivative_field(f, alpha, spec, p=p)
-    return _riesz_value(g, alpha, x, spec)
+def _composed_value(f, alphas, p, x, spec):
+    """Single-resolution I_alpha(D^alpha_p f)(x) per alpha: one D^alpha field
+    pass and one Riesz ladder serve the whole schedule."""
+    return _riesz_value(_dalpha_decaying(f, alphas, spec, p), alphas, x, spec)
+
+
+def _bbm_schedule(f, alphas, p, x, spec):
+    """One OperatorValue of (1 - alpha)^{1/p} I_alpha(D^alpha_p f)(x) per
+    alpha, from one full- and one half-resolution composed pass."""
+    check_dimension(f.dim, minimum=2)
+    for alpha in alphas:
+        if not 0.5 < alpha < 1.0:
+            raise ValueError(
+                f"composed operator is evaluated in the regime alpha in (1/2, 1), got {alpha}"
+            )
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    raws = _two_resolution(lambda quad: _composed_value(f, alphas, p, x, quad), spec)
+    out = []
+    for alpha, raw in zip(alphas, raws):
+        factor = (1.0 - alpha) ** (1.0 / p)
+        value, est = factor * raw.value, factor * raw.error_estimate
+        converged = est <= max(spec.target_rel_error, 1e-3) * abs(value) + 1e-300
+        note = "" if converged else "outer differencing above target"
+        out.append(OperatorValue(value, est, converged, note))
+    return out
 
 
 def bbm_operator(f, alpha, x, spec):
@@ -471,19 +521,7 @@ def bbm_operator(f, alpha, x, spec):
 
 def bbm_operator_p(f, alpha, p, x, spec):
     """(1 - alpha)^{1/p} I_alpha(D^alpha_p f)(x)."""
-    check_dimension(f.dim, minimum=2)
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(
-            f"composed operator is evaluated in the regime alpha in (1/2, 1), got {alpha}"
-        )
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    factor = (1.0 - alpha) ** (1.0 / p)
-    raw = _two_resolution(lambda quad: _composed_value(f, alpha, p, x, quad), spec)
-    value, est = factor * raw.value, factor * raw.error_estimate
-    converged = est <= max(spec.target_rel_error, 1e-3) * abs(value) + 1e-300
-    note = "" if converged else "outer differencing above target"
-    return OperatorValue(value, est, converged, note)
+    return _bbm_schedule(f, (alpha,), p, x, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +529,13 @@ def bbm_operator_p(f, alpha, p, x, spec):
 # ---------------------------------------------------------------------------
 
 
-def _seminorm_value(f, alpha, spec):
-    """Single-resolution Gagliardo seminorm as int D^alpha f(x) dx."""
+def _seminorm_value(f, alphas, spec):
+    """Single-resolution Gagliardo seminorms as int D^alpha f(x) dx, one per
+    alpha of ``alphas``.  The outer nodes do not depend on alpha, so one
+    D^alpha field pass serves them all.  Returns (values, hard_errors)."""
     n = f.dim
     sigma = sphere_area(n)
-    D = _DalphaField(f, alpha, spec)
+    D = _DalphaField(f, alphas, spec)
     R_mid = D.envelope_radius
     R_far = 2.0**spec.outer_shells * R_mid
 
@@ -512,15 +552,22 @@ def _seminorm_value(f, alpha, spec):
         wt = ((w * r ** (n - 1))[:, None] * rule.weights[None, :]).ravel()
 
     gvals, hard = D(X, wt)
-    body = pairwise_sum(wt * gvals)
+    bodies = [pairwise_sum(wt * gvals[:, k]) for k in range(len(alphas))]
     # envelope remainder beyond the numeric horizon (A2-type domination)
-    return body, hard + D.tail(R_far)
+    return bodies, [h + t for h, t in zip(hard, D.tail(R_far))]
+
+
+def _seminorm_schedule(f, alphas, spec):
+    """One OperatorValue of the Gagliardo seminorm per alpha, from one full-
+    and one half-resolution pass."""
+    for a in alphas:
+        _check_alpha(a)
+    return _two_resolution(lambda quad: _seminorm_value(f, alphas, quad), spec)
 
 
 def gagliardo_seminorm(f, alpha, spec):
     """Double integral int int |f(x)-f(y)| / |x-y|^{n+alpha} dy dx."""
-    _check_alpha(alpha)
-    return _two_resolution(lambda quad: _seminorm_value(f, alpha, quad), spec)
+    return _seminorm_schedule(f, (alpha,), spec)[0]
 
 
 def _cube_inner_integral(f, alpha, x, lo, hi, rule, spec):
@@ -589,7 +636,7 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     bound is returned alongside.
     """
     n = h.dim
-    D = _DalphaField(h, alpha, spec, p)
+    D = _DalphaField(h, (alpha,), spec, p)
     if weight_field is not None:
         R_num = weight_field.support_radius
     else:
@@ -608,10 +655,10 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     else:
         wvals = np.ones(X.shape[0])
 
-    dvals, hard = D(X, wt, wvals)
-    integral = pairwise_sum(wt * wvals * dvals)
+    dvals, (hard,) = D(X, wt, wvals)
+    integral = pairwise_sum(wt * wvals * dvals[:, 0])
     if weight_field is None:
-        hard += D.tail(R_num)
+        hard += D.tail(R_num)[0]
     return integral ** (1.0 / p), hard
 
 
@@ -632,9 +679,9 @@ def leibniz_gap(f, g, alpha, p, spec):
             c, ec = 0.0, 0.0
         else:
             c, ec = _lp_norm_of_operator(fg, None, alpha, p, quad)
-        return a + b - c, ea + eb + ec
+        return [a + b - c], [ea + eb + ec]
 
-    return replace(_two_resolution(run, spec), converged=True)
+    return replace(_two_resolution(run, spec)[0], converged=True)
 
 
 def linear_kernel_identity(n, direction, alpha, spec):

@@ -1,6 +1,7 @@
 """A point's D^alpha or I_alpha value does not depend on what is batched with
 it: not on the other rows of X, not on the other alphas of the call, and not
-on the CLI's thread count.  All comparisons are bit for bit."""
+on the CLI's thread count.  A sweep's row does not depend on the other alphas
+of its schedule.  All comparisons are bit for bit."""
 
 import json
 import math
@@ -11,13 +12,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonlocal_bbm.cli import main
 from nonlocal_bbm.fields import bump, modulated_bump, poly_bump
+from nonlocal_bbm.limits import AlphaSchedule, composed_limit_sweep_p, seminorm_limit_sweep
 from nonlocal_bbm.operators import (
     DecayingFunction,
     _dalpha_integral_batch,
+    bbm_operator_p,
+    gagliardo_seminorm,
     riesz_of_field_values,
     riesz_potential,
 )
-from nonlocal_bbm.quadrature import QuadratureSpec
+from nonlocal_bbm.quadrature import QuadratureSpec, fast_spec
 
 SPEC = QuadratureSpec(inner_shells=10, outer_shells=8, gauss_order=8, sphere_order=16)
 R_MAX = 3.5
@@ -90,6 +94,30 @@ def test_riesz_row_does_not_depend_on_batch(name, alpha):
     # rows do not enter it
     far = riesz_of_field_values(f, alpha, X[~near], SPEC)
     assert np.array_equal(far, vals[~near])
+
+
+@pytest.mark.parametrize("name", ["bump", "modulated_bump"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("x", [(0.3, 0.0), (3.0, 0.0)])
+def test_composed_sweep_row_matches_single_alpha_call(name, p, x):
+    # the sweep runs one composed pass for the whole schedule
+    f, schedule = FIELDS[name], AlphaSchedule((0.7, 0.9, 0.99))
+    report = composed_limit_sweep_p(f, x, p, schedule, fast_spec(2))
+    for a, row in zip(schedule.values, report.rows):
+        one = bbm_operator_p(f, a, p, x, fast_spec(2))
+        assert (row.value, row.error_estimate) == (one.value, one.error_estimate)
+        assert row.converged == one.converged and one.note in row.note
+
+
+@pytest.mark.parametrize("name", ["bump", "modulated_bump"])
+def test_seminorm_sweep_row_matches_single_alpha_call(name):
+    f, schedule = FIELDS[name], AlphaSchedule((0.5, 0.9, 0.99))
+    report = seminorm_limit_sweep(f, schedule, fast_spec(2))
+    for a, row in zip(schedule.values, report.rows):
+        one = gagliardo_seminorm(f, a, fast_spec(2))
+        assert row.value == (1.0 - a) * one.value
+        assert row.error_estimate == (1.0 - a) * one.error_estimate
+        assert row.converged == one.converged
 
 
 @settings(

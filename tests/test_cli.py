@@ -228,6 +228,19 @@ def test_composed_schedule_at_half_is_config_error(tmp_path, capsys):
     }, ["'schedule'"])
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"p": float("nan")}, "'p'"),
+    ({"p": float("inf")}, "'p'"),
+    ({"field": {"name": "modulated_bump", "params": {"wavevector": [float("nan"), 0.0]}}},
+     "'field'"),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, doc, name):
+    # json.load reads NaN and Infinity; none of them may reach a computation
+    _expect_config_error(tmp_path, capsys, "eval", {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0]], **doc,
+    }, [name])
+
+
 @pytest.mark.parametrize("quad", [
     {"gauss_order": 16.5},
     {"target_rel_error": "x"},
