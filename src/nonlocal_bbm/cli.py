@@ -205,6 +205,10 @@ def parse_config(path, quad_preset=None):
     if not isinstance(outputs, dict):
         raise ConfigError("field 'outputs': must be an object")
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
+    paths = {k: outputs.get(k, d) for k, d in (("csv", "report.csv"), ("json", "summary.json"))}
+    for key, path in paths.items():
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"field 'outputs.{key}': must be a non-empty path, got {path!r}")
 
     return RunConfig(
         dimension=n,
@@ -216,8 +220,8 @@ def parse_config(path, quad_preset=None):
         mode=mode,
         p=float(p),
         sweep_kind=kind,
-        csv_path=outputs.get("csv", "report.csv"),
-        json_path=outputs.get("json", "summary.json"),
+        csv_path=paths["csv"],
+        json_path=paths["json"],
         raw=doc,
     )
 
@@ -449,17 +453,20 @@ def run(cfg, threads=1, out_dir=None):
         rows, summary, code = _run_audit(cfg, threads)
 
     csv_path, json_path = cfg.csv_path, cfg.json_path
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, os.path.basename(csv_path))
-        json_path = os.path.join(out_dir, os.path.basename(json_path))
     summary = {
         "version": __version__,
         "config_hash": cfg.config_hash,
         **summary,
     }
-    _write_csv(csv_path, rows)
-    _write_json(json_path, summary)
+    try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            csv_path = os.path.join(out_dir, os.path.basename(csv_path))
+            json_path = os.path.join(out_dir, os.path.basename(json_path))
+        _write_csv(csv_path, rows)
+        _write_json(json_path, summary)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
     return code
 
 

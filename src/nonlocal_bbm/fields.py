@@ -22,7 +22,6 @@ __all__ = [
     "translate",
     "dilate",
     "product",
-    "sum_fields",
     "zero_field",
     "w11_norms",
     "make_field",
@@ -230,10 +229,6 @@ def dilate(f, lam):
     )
 
 
-def _combined_smoothness(f, g):
-    return min((f.smoothness, g.smoothness), key=_SMOOTHNESS_RANK.get)
-
-
 def product(f, g):
     """Pointwise product with conservative arithmetic norm bounds."""
     if f.dim != g.dim:
@@ -252,27 +247,8 @@ def product(f, g):
             + g.sup_norm * f.hess_sup_norm
         ),
         radial=f.radial and g.radial,
-        smoothness=_combined_smoothness(f, g),
+        smoothness=min((f.smoothness, g.smoothness), key=_SMOOTHNESS_RANK.get),
         name=f"{f.name}*{g.name}",
-    )
-
-
-def sum_fields(f, g):
-    """Pointwise sum with conservative arithmetic norm bounds."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch in sum")
-    fev, fgr, gev, ggr = f.eval, f.grad, g.eval, g.grad
-    return TestField(
-        dim=f.dim,
-        eval=lambda x: fev(x) + gev(x),
-        grad=lambda x: fgr(x) + ggr(x),
-        support_radius=max(f.support_radius, g.support_radius),
-        sup_norm=f.sup_norm + g.sup_norm,
-        grad_sup_norm=f.grad_sup_norm + g.grad_sup_norm,
-        hess_sup_norm=f.hess_sup_norm + g.hess_sup_norm,
-        radial=f.radial and g.radial,
-        smoothness=_combined_smoothness(f, g),
-        name=f"{f.name}+{g.name}",
     )
 
 

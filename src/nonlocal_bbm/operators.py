@@ -1,6 +1,6 @@
 """The nonlocal operators: the fractional derivative and its L^p variant,
 Riesz potentials, the composed potential-of-derivative operator, Gagliardo
-seminorms, cube Poincare sides and the Leibniz gap.
+seminorms and the Leibniz gap.
 
 Every singular integral is reduced to polar form around its evaluation
 point: an analytic Taylor core on the innermost gap (which removes the
@@ -46,7 +46,6 @@ __all__ = [
     "DecayingFunction",
     "frac_derivative",
     "frac_derivative_p",
-    "frac_derivative_truncated",
     "frac_derivative_field",
     "riesz_potential",
     "riesz_of_gradient",
@@ -54,7 +53,6 @@ __all__ = [
     "bbm_operator",
     "bbm_operator_p",
     "gagliardo_seminorm",
-    "bbm_poincare_sides",
     "leibniz_gap",
     "linear_kernel_identity",
 ]
@@ -117,7 +115,7 @@ def _translates(X, offs):
 # ---------------------------------------------------------------------------
 
 
-def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None, with_tail=True):
+def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     """Batched integrals int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy (before the
     1/p root) for points X of shape (M, n) and every alpha of ``alphas``.
 
@@ -180,10 +178,7 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None, with_tail=True
             acc[lo : lo + block] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
 
     total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
-    if with_tail:
-        total += (np.abs(fx) ** p)[:, None] * np.array(
-            [sigma * R_big ** (-a) / a for a in ap]
-        )
+    total += (np.abs(fx) ** p)[:, None] * np.array([sigma * R_big ** (-a) / a for a in ap])
     return total, core_err
 
 
@@ -231,20 +226,6 @@ def frac_derivative(f, alpha, x, spec):
 def frac_derivative_p(f, alpha, p, x, spec):
     """L^p variant ( int |f(x)-f(y)|^p / |x-y|^{n+alpha p} dy )^{1/p}."""
     return _frac_derivative_schedule(f, (alpha,), p, x, spec)[0]
-
-
-def frac_derivative_truncated(f, alpha, x, radius, spec):
-    """Nonlocal derivative restricted to the ball B(x, radius)."""
-    _check_alpha(alpha)
-    if radius <= 0:
-        raise ValueError("truncation radius must be positive")
-    X = _as_point(x, f.dim)[None, :]
-
-    def run(quad):
-        v, e = _dalpha_integral_batch(f, (alpha,), X, quad, r_max=radius, with_tail=False)
-        return v[0].tolist(), e[0].tolist()
-
-    return _two_resolution(run, spec)[0]
 
 
 class _SupportGridKernel:
@@ -309,9 +290,10 @@ class _DalphaField:
         )
         self.envelope = [2.0 ** (n + a * p) * self.kernel.mass for a in self.alphas]
 
-    def __call__(self, Y, *weights):
-        """Values at Y, shape (M, A), and per alpha the Taylor-core bounds of
-        the near points multiplied by each of ``weights`` in turn and summed."""
+    def __call__(self, Y, weight=None):
+        """Values at Y, shape (M, A), and per alpha the sum of the Taylor-core
+        bounds of the near points, each times ``weight`` at its point when
+        given."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         A = len(self.alphas)
         out = np.empty((Y.shape[0], A))
@@ -323,11 +305,10 @@ class _DalphaField:
             out[near], core_err = _dalpha_integral_batch(
                 self.f, self.alphas, Y[near], self.spec, p=self.p
             )
-            for k in range(A):
-                bound = np.ascontiguousarray(core_err[:, k])
-                for w in weights:
-                    bound = bound * w[near]
-                hard[k] = float(np.sum(bound))
+            if weight is not None:
+                core_err *= weight[near, None]
+            # one contiguous row per alpha, so each sum keeps its pairwise order
+            hard = [float(np.sum(c)) for c in np.ascontiguousarray(core_err.T)]
         return out, hard
 
     def tail(self, R):
@@ -529,32 +510,40 @@ def bbm_operator_p(f, alpha, p, x, spec):
 # ---------------------------------------------------------------------------
 
 
-def _seminorm_value(f, alphas, spec):
-    """Single-resolution Gagliardo seminorms as int D^alpha f(x) dx, one per
-    alpha of ``alphas``.  The outer nodes do not depend on alpha, so one
-    D^alpha field pass serves them all.  Returns (values, hard_errors)."""
-    n = f.dim
-    sigma = sphere_area(n)
-    D = _DalphaField(f, alphas, spec)
-    R_mid = D.envelope_radius
-    R_far = 2.0**spec.outer_shells * R_mid
-
-    # radial grid: smooth panels through the support, dyadic ladder beyond
-    r, w = panel_ladder(spec.gauss_order, R_mid, R_far, uniform=12)
-
-    if f.radial:
+def _outer_integral(D, R_num, spec, weight=None):
+    """Single-resolution int_{|y| < R_num} |weight(y)|^p D(y) dy for the
+    _DalphaField D, one per alpha, with the hard bounds: the weighted
+    Taylor-core bounds, plus the envelope tail beyond R_num when there is no
+    weight.  Smooth panels run through the support, a dyadic ladder beyond;
+    a radial integrand needs only the ray along the first axis.  Returns
+    (values, hard_errors)."""
+    n = D.f.dim
+    r, w = panel_ladder(spec.gauss_order, min(R_num, D.envelope_radius), R_num, uniform=12)
+    if D.f.radial and (weight is None or weight.radial):
         X = np.zeros((r.size, n))
         X[:, 0] = r
-        wt = sigma * w * r ** (n - 1)
+        wt = sphere_area(n) * w * r ** (n - 1)
     else:
         rule = build_sphere_rule(n, spec.sphere_order)
         X = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
         wt = ((w * r ** (n - 1))[:, None] * rule.weights[None, :]).ravel()
+    if weight is not None:
+        wt = wt * np.abs(weight.eval(X)) ** D.p
+        keep = wt != 0.0
+        X, wt = X[keep], wt[keep]
+    vals, hard = D(X, wt)
+    bodies = [pairwise_sum(wt * vals[:, k]) for k in range(len(D.alphas))]
+    if weight is None:
+        hard = [h + t for h, t in zip(hard, D.tail(R_num))]
+    return bodies, hard
 
-    gvals, hard = D(X, wt)
-    bodies = [pairwise_sum(wt * gvals[:, k]) for k in range(len(alphas))]
-    # envelope remainder beyond the numeric horizon (A2-type domination)
-    return bodies, [h + t for h, t in zip(hard, D.tail(R_far))]
+
+def _seminorm_value(f, alphas, spec):
+    """Single-resolution Gagliardo seminorms as int D^alpha f(x) dx, one per
+    alpha of ``alphas``, from one D^alpha field pass.  Returns (values,
+    hard_errors)."""
+    D = _DalphaField(f, alphas, spec)
+    return _outer_integral(D, 2.0**spec.outer_shells * D.envelope_radius, spec)
 
 
 def _seminorm_schedule(f, alphas, spec):
@@ -570,101 +559,25 @@ def gagliardo_seminorm(f, alpha, spec):
     return _seminorm_schedule(f, (alpha,), spec)[0]
 
 
-def _cube_inner_integral(f, alpha, x, lo, hi, rule, spec):
-    """int_Q |f(x)-f(y)| / |x-y|^{n+alpha} dy for x inside the cube [lo, hi]^n,
-    by per-direction radial quadrature up to the exact cube exit radius."""
-    n = f.dim
-    delta = 2.0**-spec.inner_shells
-    fx = float(f.eval(x[None, :])[0])
-    g = f.grad(x[None, :])[0]
-    s_lin = float(np.abs(rule.nodes @ g) @ rule.weights)
-    total = s_lin * delta ** (1.0 - alpha) / (1.0 - alpha)
-    with np.errstate(divide="ignore"):
-        bounds = np.where(
-            rule.nodes > 0,
-            (hi - x)[None, :] / np.where(rule.nodes > 0, rule.nodes, 1.0),
-            np.where(
-                rule.nodes < 0,
-                (lo - x)[None, :] / np.where(rule.nodes < 0, rule.nodes, 1.0),
-                np.inf,
-            ),
-        )
-    t_exit = np.min(bounds, axis=1)
-    for s in range(rule.size):
-        te = float(t_exit[s])
-        if te <= delta:
-            continue
-        r, w = radial_ladder(min(1.0, te), te, spec)
-        vals = np.abs(f.eval(x[None, :] + r[:, None] * rule.nodes[s][None, :]) - fx)
-        total += float(rule.weights[s]) * pairwise_sum(w * r ** (-1.0 - alpha) * vals)
-    return total
-
-
-def bbm_poincare_sides(f, cube_center, side, alpha, spec, grid_per_axis=12):
-    """(lhs, rhs) of the fractional Poincare inequality on the cube Q.
-
-    lhs is the mean oscillation of f on Q; rhs is (1-alpha) l(Q)^alpha times
-    the mean fractional energy of f over Q x Q.  The implicit comparison
-    constant is reported by callers, never asserted.
-    """
-    _check_alpha(alpha)
-    n = f.dim
-    c = _as_point(cube_center, n)
-    lo, hi = c - side / 2.0, c + side / 2.0
-    Z, wx = box_rule(0.0, 1.0, n, grid_per_axis)
-    X = lo + side * Z
-    wx *= side**n
-    volume = side**n
-
-    fvals = f.eval(X)
-    f_mean = pairwise_sum(wx * fvals) / volume
-    lhs = pairwise_sum(wx * np.abs(fvals - f_mean)) / volume
-
-    rule = build_sphere_rule(n, max(16, spec.sphere_order // 2))
-    inner = np.array(
-        [_cube_inner_integral(f, alpha, X[i], lo, hi, rule, spec) for i in range(X.shape[0])]
-    )
-    rhs = (1.0 - alpha) * side**alpha * pairwise_sum(wx * inner) / volume
-    return lhs, rhs
-
-
 def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
-    """|| weight_field * D^alpha_p h ||_{L^p} by polar outer quadrature.
-
-    ``weight_field`` of None means the plain norm of the operator output, in
-    which case the integrand is not compactly supported and an envelope tail
-    bound is returned alongside.
+    """|| weight_field * D^alpha_p h ||_{L^p} and the hard bound on its p-th
+    power.  ``weight_field`` of None means the plain norm of the operator
+    output, taken over 2^outer_shells envelope radii plus the envelope tail.
     """
-    n = h.dim
     D = _DalphaField(h, (alpha,), spec, p)
     if weight_field is not None:
         R_num = weight_field.support_radius
     else:
         R_num = 2.0**spec.outer_shells * D.envelope_radius
-
-    R_panels = min(R_num, D.envelope_radius)
-    r, w = panel_ladder(spec.gauss_order, R_panels, R_num, uniform=10)
-    rule = build_sphere_rule(n, spec.sphere_order)
-    X = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
-    wt = ((w * r ** (n - 1))[:, None] * rule.weights[None, :]).ravel()
-
-    if weight_field is not None:
-        wvals = np.abs(weight_field.eval(X)) ** p
-        keep = wvals > 0
-        X, wt, wvals = X[keep], wt[keep], wvals[keep]
-    else:
-        wvals = np.ones(X.shape[0])
-
-    dvals, (hard,) = D(X, wt, wvals)
-    integral = pairwise_sum(wt * wvals * dvals[:, 0])
-    if weight_field is None:
-        hard += D.tail(R_num)[0]
-    return integral ** (1.0 / p), hard
+    (value,), (hard,) = _outer_integral(D, R_num, spec, weight_field)
+    return value ** (1.0 / p), hard
 
 
 def leibniz_gap(f, g, alpha, p, spec):
     """Defect ||f D_p g||_p + ||g D_p f||_p - ||D_p(fg)||_p of the
-    Leibniz-type inequality; nonnegative up to quadrature error."""
+    Leibniz-type inequality; nonnegative up to quadrature error.  Its
+    ``converged`` is always True: the estimate is not held to the spec's
+    target, and may exceed the gap."""
     _check_alpha(alpha)
     if f.dim != g.dim:
         raise ValueError("dimension mismatch in leibniz_gap")

@@ -256,6 +256,27 @@ def test_bad_quadrature_is_config_error(tmp_path, capsys, quad):
     }, ["quadrature", *quad])
 
 
+@pytest.mark.parametrize("key", ["csv", "json"])
+@pytest.mark.parametrize("path", [5, True, ""])
+def test_bad_output_path_is_config_error(tmp_path, capsys, key, path):
+    # an int or a bool would otherwise be opened as a file descriptor
+    _expect_config_error(tmp_path, capsys, "eval", {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0]],
+        "outputs": {"csv": "r.csv", "json": "r.json", key: path},
+    }, [f"outputs.{key}"])
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "k.csv"
+    cfgp = _write_config(tmp_path / "c.json", {
+        "dimension": 2, "mode": "constants",
+        "outputs": {"csv": str(missing), "json": str(tmp_path / "k.json")},
+    })
+    assert main(["constants", "--config", cfgp]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
 class TestCompareGolden:
     def _report(self, tmp_path):
         cfgp = _write_config(tmp_path / "c.json", {

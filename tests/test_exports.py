@@ -1,4 +1,5 @@
 import importlib
+import os
 
 import pytest
 
@@ -18,3 +19,16 @@ def test_all_names_resolve(module):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_tracer_entry_points_resolve(monkeypatch):
+    # the benchmark's per-layer tracer wraps private entry points by name and
+    # parameter; installing it fails on any that was renamed or removed
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bbmbench")
+    monkeypatch.syspath_prepend(bench)
+    layers = importlib.import_module("layers")
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

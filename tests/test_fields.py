@@ -9,7 +9,6 @@ from nonlocal_bbm.fields import (
     poly_bump,
     product,
     standard_catalog,
-    sum_fields,
     translate,
     w11_norms,
     zero_field,
@@ -40,7 +39,6 @@ def _fd_gradient(f, X, h=1e-5):
     translate(bump(2), [0.3, -0.1]),
     dilate(bump(2), 2.0),
     product(bump(2), modulated_bump(2, [1.0, 1.0])),
-    sum_fields(bump(2), poly_bump(2, k=3)),
 ])
 def test_gradient_matches_finite_differences(field):
     X = _sample_points(field.dim, 0.9 * field.support_radius, 100)
@@ -164,5 +162,3 @@ def test_standard_catalog_contents():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         product(bump(2), bump(3))
-    with pytest.raises(ValueError):
-        sum_fields(bump(2), bump(3))

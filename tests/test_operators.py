@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nonlocal_bbm.constants import bbm_constant, riesz_constant, sphere_area
+from nonlocal_bbm.constants import bbm_constant, riesz_constant
 from nonlocal_bbm.fields import (
     bump,
     dilate,
@@ -15,16 +16,16 @@ from nonlocal_bbm.fields import (
 from nonlocal_bbm.operators import (
     DecayingFunction,
     bbm_operator_p,
-    bbm_poincare_sides,
     frac_derivative,
     frac_derivative_field,
     frac_derivative_p,
-    frac_derivative_truncated,
     gagliardo_seminorm,
     leibniz_gap,
     linear_kernel_identity,
     riesz_of_field_values,
     riesz_potential,
+    _lp_norm_of_operator,
+    _seminorm_value,
 )
 from nonlocal_bbm.quadrature import (
     QuadratureSpec,
@@ -57,8 +58,6 @@ def test_alpha_and_p_validation():
         frac_derivative(f, 0.0, np.zeros(2), spec)
     with pytest.raises(ValueError):
         frac_derivative_p(f, 0.5, 0.5, np.zeros(2), spec)
-    with pytest.raises(ValueError):
-        frac_derivative_truncated(f, 0.5, np.zeros(2), -1.0, spec)
 
 
 def test_non_finite_point_rejected():
@@ -113,31 +112,6 @@ def test_dilation_covariance():
     a = frac_derivative(g, 0.6, x, spec)
     b = frac_derivative(f, 0.6, lam * x, spec)
     assert a.value == pytest.approx(lam**0.6 * b.value, rel=1e-5)
-
-
-def test_truncation_monotone_and_below_full():
-    f = poly_bump(2, k=3)
-    spec = MID_SPEC
-    x = np.array([0.1, 0.0])
-    vals = [
-        frac_derivative_truncated(f, 0.5, x, radius, spec).value
-        for radius in (0.5, 1.0, 2.0)
-    ]
-    assert vals[0] < vals[1] < vals[2]
-    full = frac_derivative(f, 0.5, x, spec)
-    assert vals[-1] <= full.value + 1e-10
-
-
-def test_truncated_approaches_full():
-    f = poly_bump(2, k=3)
-    spec = MID_SPEC
-    x = np.array([0.1, 0.0])
-    full = frac_derivative(f, 0.5, x, spec)
-    trunc = frac_derivative_truncated(f, 0.5, x, 64.0, spec)
-    # remaining tail is |f(x)| sigma R^{-a}/a
-    fx = abs(float(f.eval(x[None, :])[0]))
-    tail = fx * sphere_area(2) * 64.0**-0.5 / 0.5
-    assert full.value - trunc.value == pytest.approx(tail, rel=1e-2)
 
 
 def test_far_field_domination():
@@ -328,21 +302,6 @@ def test_seminorm_against_double_integral_n1():
     assert got.value - double <= diag + outer + 3.0 * got.error_estimate
 
 
-def test_poincare_sides_positive_and_reported():
-    f = bump(2)
-    spec = fast_spec(2)
-    lhs, rhs = bbm_poincare_sides(f, [0.0, 0.0], 1.0, 0.7, spec, grid_per_axis=8)
-    assert lhs > 0.0 and rhs > 0.0
-    assert 0.01 < lhs / rhs < 100.0
-
-
-def test_poincare_zero_field():
-    z = zero_field(2)
-    spec = fast_spec(2)
-    lhs, rhs = bbm_poincare_sides(z, [0.0, 0.0], 1.0, 0.7, spec, grid_per_axis=6)
-    assert lhs == 0.0 and rhs == 0.0
-
-
 def test_leibniz_gap_disjoint_supports():
     f = bump(2)
     g = translate(bump(2), [5.0, 0.0])
@@ -362,6 +321,29 @@ def test_leibniz_gap_self_pair():
 def test_leibniz_dimension_mismatch():
     with pytest.raises(ValueError):
         leibniz_gap(bump(2), bump(3), 0.5, 1.0, fast_spec(2))
+
+
+@pytest.mark.parametrize("h", [bump(2), poly_bump(2, k=3), modulated_bump(2, [2.0, 0.0])])
+def test_seminorm_and_plain_operator_norm_share_one_outer_integral(h):
+    # at p = 1 the unweighted L^1 norm of D^alpha h is the seminorm itself
+    spec = fast_spec(2)
+    (value,), (hard,) = _seminorm_value(h, (0.7,), spec)
+    assert _lp_norm_of_operator(h, None, 0.7, 1.0, spec) == (value, hard)
+
+
+@pytest.mark.parametrize("pair", [(bump(2), bump(2)), (bump(2), poly_bump(2, k=3))])
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_leibniz_radial_shortcut_matches_sphere_path(pair, alpha, p):
+    # the same fields flagged non-radial take the full sphere rule
+    f, g = pair
+    spec = fast_spec(2)
+    ray = leibniz_gap(f, g, alpha, p, spec)
+    sphere = leibniz_gap(
+        dataclasses.replace(f, radial=False), dataclasses.replace(g, radial=False),
+        alpha, p, spec,
+    )
+    assert abs(ray.value - sphere.value) <= ray.error_estimate + sphere.error_estimate
 
 
 def test_linear_kernel_identity_quick():
