@@ -439,10 +439,29 @@ def _run_report(cfg):
     return 0
 
 
+def _report_paths(cfg, out_dir):
+    """The CSV and JSON paths a run writes, with ``out_dir`` made.  A path
+    whose directory is missing is a ConfigError, raised before any row is
+    computed; the directories ``outputs`` names are never made."""
+    csv_path, json_path = cfg.csv_path, cfg.json_path
+    try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            csv_path = os.path.join(out_dir, os.path.basename(csv_path))
+            json_path = os.path.join(out_dir, os.path.basename(json_path))
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
+    for path in (csv_path, json_path):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write the report: no directory for {path!r}")
+    return csv_path, json_path
+
+
 def run(cfg, threads=1, out_dir=None):
     """Execute a validated config; writes CSV + JSON, returns the exit code."""
     if cfg.mode == "report":
         return _run_report(cfg)
+    csv_path, json_path = _report_paths(cfg, out_dir)
     if cfg.mode == "constants":
         rows, summary, code = _run_constants(cfg)
     elif cfg.mode == "eval":
@@ -452,17 +471,12 @@ def run(cfg, threads=1, out_dir=None):
     else:
         rows, summary, code = _run_audit(cfg, threads)
 
-    csv_path, json_path = cfg.csv_path, cfg.json_path
     summary = {
         "version": __version__,
         "config_hash": cfg.config_hash,
         **summary,
     }
     try:
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            csv_path = os.path.join(out_dir, os.path.basename(csv_path))
-            json_path = os.path.join(out_dir, os.path.basename(json_path))
         _write_csv(csv_path, rows)
         _write_json(json_path, summary)
     except OSError as exc:

@@ -15,11 +15,15 @@ depend only on the spec and the evaluation point, so all alphas of a sweep
 share one field evaluation per node and differ only in their radial weights
 and in the closed-form core and tail.  Its chunking and reduction order are
 set by the spec alone, which makes a point's value independent of the batch
-it was evaluated in.
+it was evaluated in.  A row with f(x) = 0 skips every panel whose nodes all
+lie where f vanishes (the gap below |x| - R0 and the radii beyond |x| + R0):
+such a panel would add an exact 0, so the skip changes no bit.
 
 The layers above it take the same tuple.  ``_DalphaField`` returns one
 column per alpha, and its support-grid kernel forms |y - z|^2 once for all
-exponents; ``_riesz_value``'s nodes do not depend on alpha either.  So a
+exponents, in cache-sized chunks, reducing each row on its own in an order
+the grid alone sets, so a far row's value does not depend on its batch
+either.  ``_riesz_value``'s nodes do not depend on alpha.  So a
 composed sweep, a seminorm sweep and the audit's composed and seminorm rows
 each run one D^alpha field pass and one Riesz ladder per resolution for the
 whole schedule, and every column keeps the bits of a one-alpha call.
@@ -58,9 +62,13 @@ __all__ = [
 ]
 
 _CHUNK_ELEMS = 2**23
-# Nodes per inner-engine chunk: small enough that the chunk's temporaries
-# stay in cache.  A row's values do not depend on it.
-_ENGINE_CHUNK = 2**15
+# Nodes per inner-engine chunk and elements per support-grid-kernel chunk:
+# small enough that a chunk's temporaries stay in cache.  With 2^15-node
+# engine chunks, glibc handed the temporaries back to the system and
+# faulted them in again chunk after chunk on composed sweeps (20 times the
+# minor faults of 2^13).  A row's values depend on neither.
+_ENGINE_CHUNK = 2**13
+_KERNEL_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,10 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     The alphas share the quadrature nodes: |f(x)-f(y)|^p is evaluated once
     per node, contracted with the sphere weights, and only then with one
     radial weight column r^{-1-alpha p} per alpha.  Chunks are one dyadic
-    panel of ``gauss_order`` radii by a block of points whose size the spec
-    alone sets, and every reduction is an element-wise sum in a fixed order,
-    so a row's values depend neither on the other rows of X nor on A.
+    panel of ``gauss_order`` radii by those rows of a block of points that
+    take the panel; the spec alone sets the block size, and every reduction
+    is an element-wise sum in a fixed order, so a row's values depend
+    neither on the other rows of X nor on A.
     """
     n = f.dim
     M = X.shape[0]
@@ -137,8 +146,9 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     sigma = sphere_area(n)
     R0 = f.support_radius
     G = spec.gauss_order
+    xn = np.linalg.norm(X, axis=1)
     if r_max is None:
-        R_big = max(1.0, float(np.max(np.linalg.norm(X, axis=1))) + R0 + 1.0)
+        R_big = max(1.0, float(np.max(xn)) + R0 + 1.0)
     else:
         R_big = float(r_max)
     delta = 2.0**-spec.inner_shells
@@ -156,26 +166,42 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
 
     r, w = radial_ladder(1.0, R_big, spec)
     radial = np.stack([w * r ** (-1.0 - a) for a in ap])
+    # A panel adds exactly 0 to a row with f(x) = 0 when all its nodes lie
+    # at |y| >= R0, where f vanishes: in the gap below |x| - R0, or beyond
+    # |x| + R0.  Such a row skips the panel.  The margin exceeds the
+    # rounding of x + r u, so a field nonzero up to its edge (poly_bump) is
+    # never skipped where it is not 0.
+    edge = (R0 + 1e-9 * (1.0 + xn + R_big))[:, None]
+    pan = r.reshape(-1, G)
+    live = (fx != 0.0)[:, None] | (
+        (xn[:, None] - pan[:, -1] < edge) & (pan[:, 0] - xn[:, None] < edge)
+    )
     s_lin = np.empty(M)
     acc = np.zeros((M, len(ap)))
     block = max(1, _ENGINE_CHUNK // (G * rule.size))
     for lo in range(0, M, block):
-        Xb, fxb = X[lo : lo + block], fx[lo : lo + block]
-        b = Xb.shape[0]
+        Xb, fxb, accb = X[lo : lo + block], fx[lo : lo + block], acc[lo : lo + block]
         # analytic core on (0, delta): |grad f(x).h|^p integrates in closed form
         lin = np.abs((gX[lo : lo + block, None, :] * rule.nodes).sum(axis=-1)) ** p
         lin *= rule.weights
         s_lin[lo : lo + block] = lin.sum(axis=-1)
-        for k in range(0, r.size, G):
+        live_b = live[lo : lo + block]
+        full = live_b.all(axis=0).tolist()
+        for j, k in enumerate(range(0, r.size, G)):
+            # the block's rows that take this panel: a view when all do
+            rows = slice(None) if full[j] else np.flatnonzero(live_b[:, j])
+            Xk, fxk = Xb[rows], fxb[rows]
+            if Xk.shape[0] == 0:
+                continue
             offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
-            vals = f.eval(_translates(Xb, offs)).reshape(b, G, rule.size)
-            vals -= fxb[:, None, None]
+            vals = f.eval(_translates(Xk, offs)).reshape(Xk.shape[0], G, rule.size)
+            vals -= fxk[:, None, None]
             np.abs(vals, out=vals)
             if p != 1.0:
                 vals **= p
             vals *= rule.weights
             ang = vals.sum(axis=-1)
-            acc[lo : lo + block] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
+            accb[rows] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
 
     total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     total += (np.abs(fx) ** p)[:, None] * np.array([sigma * R_big ** (-a) / a for a in ap])
@@ -248,11 +274,10 @@ class _SupportGridKernel:
     def __call__(self, Y):
         Y = np.atleast_2d(Y)
         out = np.empty((Y.shape[0], len(self.expos)))
-        # a row's last bits depend on its place in the d2 @ c product, so
-        # the chunk rows depend on the grid alone
-        rows = max(1, _CHUNK_ELEMS // max(1, self.Z.shape[0]))
-        # two chunk buffers for the whole call: fresh ones per chunk would
-        # briefly hold both chunks' buffers at once
+        # cache-sized chunks; each row is reduced on its own in an order the
+        # grid alone sets, so a row's value does not depend on its batch
+        rows = max(1, _KERNEL_CHUNK // max(1, self.Z.shape[0]))
+        # two chunk buffers for the whole call, reused by every chunk
         d2_buf = np.empty((min(rows, Y.shape[0]), self.Z.shape[0]))
         t_buf = np.empty_like(d2_buf)
         for i in range(0, Y.shape[0], rows):
@@ -265,7 +290,8 @@ class _SupportGridKernel:
                 d2 += np.square(t, out=t)
             for k, e in enumerate(self.expos):
                 np.power(d2, e / 2.0, out=t)
-                out[i : i + rows, k] = t @ self.c
+                t *= self.c
+                out[i : i + rows, k] = t.sum(axis=1)
         return out
 
 

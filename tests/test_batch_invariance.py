@@ -1,8 +1,10 @@
 """A point's D^alpha or I_alpha value does not depend on what is batched with
 it: not on the other rows of X, not on the other alphas of the call, and not
 on the CLI's thread count.  A sweep's row does not depend on the other alphas
-of its schedule.  All comparisons are bit for bit."""
+of its schedule.  The shell engine's values do not depend on the panels it
+skips.  All comparisons are bit for bit."""
 
+import dataclasses
 import json
 import math
 
@@ -11,17 +13,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonlocal_bbm.cli import main
+from nonlocal_bbm.constants import sphere_area
 from nonlocal_bbm.fields import bump, modulated_bump, poly_bump
 from nonlocal_bbm.limits import AlphaSchedule, composed_limit_sweep_p, seminorm_limit_sweep
 from nonlocal_bbm.operators import (
+    _ENGINE_CHUNK,
     DecayingFunction,
+    _DalphaField,
     _dalpha_integral_batch,
+    _translates,
     bbm_operator_p,
     gagliardo_seminorm,
     riesz_of_field_values,
     riesz_potential,
 )
-from nonlocal_bbm.quadrature import QuadratureSpec, fast_spec
+from nonlocal_bbm.quadrature import QuadratureSpec, build_sphere_rule, fast_spec, radial_ladder
 
 SPEC = QuadratureSpec(inner_shells=10, outer_shells=8, gauss_order=8, sphere_order=16)
 R_MAX = 3.5
@@ -86,14 +92,90 @@ def test_riesz_row_does_not_depend_on_batch(name, alpha):
         dim=2, eval=f.eval, decay_exponent=math.inf, decay_constant=0.0,
         support_radius=f.support_radius,
     )
-    for i in np.flatnonzero(near):
+    for i in range(X.shape[0]):
         assert riesz_of_field_values(f, alpha, X[i : i + 1], SPEC)[0] == vals[i]
+    for i in np.flatnonzero(near):
         assert riesz_potential(g, alpha, X[i], SPEC).value == vals[i]
-    # the far rows share one support-grid product, whose BLAS matrix-vector
-    # kernel ties a row's last bits to its place in that product; the near
-    # rows do not enter it
-    far = riesz_of_field_values(f, alpha, X[~near], SPEC)
-    assert np.array_equal(far, vals[~near])
+
+
+@pytest.mark.parametrize("f", [bump(2), bump(3)], ids=["grid40", "grid24"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_dalpha_field_far_row_does_not_depend_on_batch(f, p):
+    D = _DalphaField(f, (0.7, 0.99), SPEC, p)
+    rng = np.random.default_rng(7)
+    Y = rng.standard_normal((40, f.dim))
+    Y *= rng.uniform(D.near_radius, 3.0, size=40)[:, None] / np.linalg.norm(Y, axis=1)[:, None]
+    vals, _ = D(Y)
+    for i in range(Y.shape[0]):
+        assert np.array_equal(D(Y[i : i + 1])[0][0], vals[i])
+
+
+def _engine_without_skip(f, alphas, X, spec, p, r_max=None):
+    """The shell engine with every panel evaluated for every row, in the
+    engine's blocks and summation order."""
+    n, G, R0 = f.dim, spec.gauss_order, f.support_radius
+    rule = build_sphere_rule(n, spec.sphere_order)
+    if r_max is None:
+        r_max = max(1.0, float(np.max(np.linalg.norm(X, axis=1))) + R0 + 1.0)
+    ap = [a * p for a in alphas]
+    q = [p * (1.0 - a) for a in alphas]
+    delta = 2.0**-spec.inner_shells
+    r, w = radial_ladder(1.0, r_max, spec)
+    radial = np.stack([w * r ** (-1.0 - a) for a in ap])
+    fx, gX = f.eval(X), f.grad(X)
+    lin = np.abs((gX[:, None, :] * rule.nodes).sum(axis=-1)) ** p
+    lin *= rule.weights
+    acc = np.zeros((X.shape[0], len(ap)))
+    block = max(1, _ENGINE_CHUNK // (G * rule.size))
+    for lo in range(0, X.shape[0], block):
+        Xb, fxb = X[lo : lo + block], fx[lo : lo + block]
+        for k in range(0, r.size, G):
+            offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
+            vals = f.eval(_translates(Xb, offs)).reshape(Xb.shape[0], G, rule.size)
+            vals -= fxb[:, None, None]
+            np.abs(vals, out=vals)
+            if p != 1.0:
+                vals **= p
+            vals *= rule.weights
+            ang = vals.sum(axis=-1)
+            acc[lo : lo + block] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
+    total = lin.sum(axis=-1)[:, None] * np.array([delta**qa / qa for qa in q]) + acc
+    total += (np.abs(fx) ** p)[:, None] * np.array([sphere_area(n) * r_max ** (-a) / a for a in ap])
+    return total
+
+
+SKIP_FIELDS = [bump(2), poly_bump(2, k=3), modulated_bump(2, [2.0, 0.0]), bump(3)]
+
+
+@pytest.mark.parametrize("f", SKIP_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("r_max", [None, R_MAX])
+def test_panel_skip_keeps_every_bit(f, p, r_max):
+    # rows inside the support, on its edge and in the shell R0 <= |x| < R0 + 0.5,
+    # where a row skips the panels that add exactly 0; more rows than one
+    # engine block holds
+    rng = np.random.default_rng(11)
+    R0 = f.support_radius
+    radii = np.concatenate([rng.uniform(0, R0, 70), [R0, R0 + 1e-12], rng.uniform(R0, R0 + 0.5, 70)])
+    X = rng.standard_normal((radii.size, f.dim))
+    X *= (radii / np.linalg.norm(X, axis=1))[:, None]
+    X = X[rng.permutation(radii.size)]
+    vals, _ = _dalpha_integral_batch(f, ALPHAS, X, SPEC, p=p, r_max=r_max)
+    assert np.array_equal(vals, _engine_without_skip(f, ALPHAS, X, SPEC, p, r_max))
+
+
+def test_panel_skip_evaluates_fewer_points_outside_the_support():
+    counts = []
+
+    def counting(Y):
+        counts[-1] += Y.shape[0]
+        return FIELDS["bump"].eval(Y)
+
+    f = dataclasses.replace(FIELDS["bump"], eval=counting)
+    for x in ((0.3, 0.0), (1.3, 0.0)):
+        counts.append(0)
+        _dalpha_integral_batch(f, ALPHAS, np.array([x]), SPEC, r_max=R_MAX)
+    assert counts[1] < counts[0]
 
 
 @pytest.mark.parametrize("name", ["bump", "modulated_bump"])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from nonlocal_bbm import cli
 from nonlocal_bbm.cli import ConfigError, compare_golden, main, parse_config
 from nonlocal_bbm.limits import AlphaSchedule
 
@@ -266,7 +267,7 @@ def test_bad_output_path_is_config_error(tmp_path, capsys, key, path):
     }, [f"outputs.{key}"])
 
 
-def test_unwritable_output_path_exits_2(tmp_path, capsys):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing" / "k.csv"
     cfgp = _write_config(tmp_path / "c.json", {
         "dimension": 2, "mode": "constants",
@@ -275,6 +276,21 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
     assert main(["constants", "--config", cfgp]) == 2
     assert str(missing) in capsys.readouterr().err
     assert not missing.parent.exists()
+
+    # a sweep ends before its first row is computed
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "_run_sweep", no_sweep)
+    missing_json = tmp_path / "gone" / "s.json"
+    cfgp = _write_config(tmp_path / "s.json", {
+        "dimension": 2, "field": {"name": "bump"}, "points": [[0.1, 0.0]],
+        "mode": "sweep", "sweep_kind": "pointwise", "quadrature": _coarse_quad(),
+        "outputs": {"csv": str(tmp_path / "s.csv"), "json": str(missing_json)},
+    })
+    assert main(["sweep", "--config", cfgp]) == 2
+    assert str(missing_json) in capsys.readouterr().err
+    assert not missing_json.parent.exists()
 
 
 class TestCompareGolden:
