@@ -3,7 +3,13 @@
 Fields are immutable descriptors evaluated exactly (no grid interpolation),
 so quadrature accuracy is never limited by the field representation.  All
 evaluation callables are batched: they take an (M, n) array of points and
-return (M,) values or (M, n) gradients.
+return (M,) values or (M, n) gradients; a single point of shape (n,) gives
+a 0-d value and an (n,) gradient.
+
+eval and grad receive (M, n) arrays in any memory layout: the inner
+D^alpha engine passes column-major node arrays.  They read the coordinates
+as the columns x[..., j] and form every sum over them one column at a time,
+in a fixed order, so each layout gives the same bits.
 """
 
 from dataclasses import dataclass, replace
@@ -82,14 +88,28 @@ def _estimate_norms(n, ev, gr, radius):
     return _SAFETY * sup, _SAFETY * gsup, _SAFETY * hsup
 
 
-def _sq_norm(d):
-    """|d|^2 over the last axis, added coordinate by coordinate: on an
-    (N, n) array this is several times faster than a reduction over the
-    short axis, and gives the same bits."""
-    t = np.square(d[..., 0])
-    for j in range(1, d.shape[-1]):
-        t += np.square(d[..., j])
+def _sq_dist(x, c):
+    """|x - c|^2 over the last axis of x, one coordinate column x[..., j] at
+    a time.  A broadcast x - c over the short last axis costs more than the
+    rest of a bump; the columns give the same sums in any memory layout,
+    and a single point of shape (n,) gives a 0-d array."""
+    t = np.empty(x.shape[:-1])
+    d = np.empty_like(t)
+    np.square(np.subtract(x[..., 0], c[0], out=t), out=t)
+    for j in range(1, c.size):
+        t += np.square(np.subtract(x[..., j], c[j], out=d), out=d)
     return t
+
+
+def _dot(x, k):
+    """k . x over the last axis of x, one coordinate column at a time.  A
+    BLAS product x @ k sums in an order that depends on the layout of x."""
+    s = np.empty(x.shape[:-1])
+    d = np.empty_like(s)
+    np.multiply(x[..., 0], k[0], out=s)
+    for j in range(1, k.size):
+        s += np.multiply(x[..., j], k[j], out=d)
+    return s
 
 
 def bump(n, center=None, scale=1.0):
@@ -101,8 +121,10 @@ def bump(n, center=None, scale=1.0):
     s2 = float(scale) ** 2
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(1.0 - _sq_norm(x - c) / s2)
+        u = _sq_dist(np.asarray(x, dtype=float), c)
+        if s2 != 1.0:  # dividing by 1 changes no bit
+            u /= s2
+        np.subtract(1.0, u, out=u)
         # 1 - t clamped at 1e-14: wherever that bites, exp(-1/(1 - t)) is
         # already 0 to the last bit, so no inside mask is needed
         np.fmax(u, 1e-14, out=u)
@@ -112,7 +134,7 @@ def bump(n, center=None, scale=1.0):
     def gr(x):
         x = np.asarray(x, dtype=float)
         d = x - c
-        t = _sq_norm(d) / s2
+        t = _sq_dist(x, c) / s2
         out = np.zeros_like(d)
         inside = t < 1.0 - 1e-14
         w = 1.0 - t[inside]
@@ -141,14 +163,18 @@ def poly_bump(n, k=3, center=None, scale=1.0):
     s2 = float(scale) ** 2
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
-        t = _sq_norm(x - c) / s2
-        return np.where(t < 1.0, np.clip(1.0 - t, 0.0, None) ** k, 0.0)
+        t = _sq_dist(np.asarray(x, dtype=float), c)
+        if s2 != 1.0:
+            t /= s2
+        # (1 - t) clipped at 0 is already 0 wherever t >= 1
+        np.clip(np.subtract(1.0, t, out=t), 0.0, None, out=t)
+        t **= k
+        return t
 
     def gr(x):
         x = np.asarray(x, dtype=float)
         d = x - c
-        t = _sq_norm(d) / s2
+        t = _sq_dist(x, c) / s2
         coef = np.where(t < 1.0, -k * np.clip(1.0 - t, 0.0, None) ** (k - 1), 0.0)
         return coef[..., None] * d * (2.0 / s2)
 
@@ -179,14 +205,14 @@ def modulated_bump(n, wavevector, base=None):
         b = bev(x)
         # the sine only where the base is nonzero: many nodes of a wide
         # quadrature lie outside the support
-        s = np.asarray(x @ k)
+        s = _dot(x, k)
         np.sin(s, out=s, where=b != 0.0)
         s *= b
         return s
 
     def gr(x):
         x = np.asarray(x, dtype=float)
-        phase = x @ k
+        phase = _dot(x, k)
         return (np.cos(phase) * bev(x))[..., None] * k + np.sin(phase)[..., None] * bgr(x)
 
     sup, gsup, hsup = _estimate_norms(n, ev, gr, base.support_radius)

@@ -17,13 +17,17 @@ and in the closed-form core and tail.  Its chunking and reduction order are
 set by the spec alone, which makes a point's value independent of the batch
 it was evaluated in.  A row with f(x) = 0 skips every panel whose nodes all
 lie where f vanishes (the gap below |x| - R0 and the radii beyond |x| + R0):
-such a panel would add an exact 0, so the skip changes no bit.
+such a panel would add an exact 0, so the skip changes no bit.  The
+engine hands the field its shell nodes as a column-major view
+(``_translates``): each coordinate is written, and read back by the field,
+as one contiguous column.  One panel's offsets serve every block of points.
 
 The layers above it take the same tuple.  ``_DalphaField`` returns one
-column per alpha, and its support-grid kernel forms |y - z|^2 once for all
-exponents, in cache-sized chunks, reducing each row on its own in an order
-the grid alone sets, so a far row's value does not depend on its batch
-either.  ``_riesz_value``'s nodes do not depend on alpha.  So a
+column per alpha, and its support-grid kernel forms log |y - z|^2 once
+per cache-sized chunk for all exponents, takes each power as the
+exponential of a multiple of that log, and reduces each row on its own in
+an order the grid alone sets, so a far row's value does not depend on its
+batch either.  ``_riesz_value``'s nodes do not depend on alpha.  So a
 composed sweep, a seminorm sweep and the audit's composed and seminorm rows
 each run one D^alpha field pass and one Riesz ladder per resolution for the
 whole schedule, and every column keeps the bits of a one-alpha call.
@@ -108,14 +112,15 @@ def _as_point(x, n):
 
 
 def _translates(X, offs):
-    """The (M * K, n) array of X[i] + offs[j] for X (M, n) and offs (K, n).
-    Filled one coordinate at a time: a broadcast add over the short last
-    axis is several times slower, and gives the same sums."""
+    """The (M * K, n) array of X[i] + offs[j] for X (M, n) and offs (K, n),
+    as a column-major view: each coordinate is filled and later read as one
+    contiguous column.  A broadcast add over the short last axis is several
+    times slower, and gives the same sums."""
     M, n = X.shape
-    P = np.empty((M, offs.shape[0], n))
+    P = np.empty((n, M, offs.shape[0]))
     for j in range(n):
-        np.add(X[:, None, j], offs[None, :, j], out=P[:, :, j])
-    return P.reshape(-1, n)
+        np.add(X[:, j, None], offs[None, :, j], out=P[j])
+    return P.reshape(n, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +184,28 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     s_lin = np.empty(M)
     acc = np.zeros((M, len(ap)))
     block = max(1, _ENGINE_CHUNK // (G * rule.size))
-    for lo in range(0, M, block):
-        Xb, fxb, accb = X[lo : lo + block], fx[lo : lo + block], acc[lo : lo + block]
+    starts = range(0, M, block)
+    for lo in starts:
         # analytic core on (0, delta): |grad f(x).h|^p integrates in closed form
         lin = np.abs((gX[lo : lo + block, None, :] * rule.nodes).sum(axis=-1)) ** p
         lin *= rule.weights
         s_lin[lo : lo + block] = lin.sum(axis=-1)
-        live_b = live[lo : lo + block]
-        full = live_b.all(axis=0).tolist()
-        for j, k in enumerate(range(0, r.size, G)):
+    # per block and panel: do all the block's rows take the panel
+    full = np.logical_and.reduceat(live, starts, axis=0).tolist()
+    # panels outside blocks: one panel's offsets serve every block, and each
+    # row still takes its panels in ladder order
+    for j, k in enumerate(range(0, r.size, G)):
+        offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
+        rad = radial[:, k : k + G]
+        for b, lo in enumerate(starts):
             # the block's rows that take this panel: a view when all do
-            rows = slice(None) if full[j] else np.flatnonzero(live_b[:, j])
-            Xk, fxk = Xb[rows], fxb[rows]
+            if full[b][j]:
+                rows = slice(lo, lo + block)
+            else:
+                rows = lo + np.flatnonzero(live[lo : lo + block, j])
+            Xk, fxk = X[rows], fx[rows]
             if Xk.shape[0] == 0:
                 continue
-            offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
             vals = f.eval(_translates(Xk, offs)).reshape(Xk.shape[0], G, rule.size)
             vals -= fxk[:, None, None]
             np.abs(vals, out=vals)
@@ -201,7 +213,7 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
                 vals **= p
             vals *= rule.weights
             ang = vals.sum(axis=-1)
-            accb[rows] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
+            acc[rows] += (ang[:, None, :] * rad).sum(axis=-1)
 
     total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     total += (np.abs(fx) ** p)[:, None] * np.array([sigma * R_big ** (-a) / a for a in ap])
@@ -267,7 +279,8 @@ class _SupportGridKernel:
         # sum_z c_z, summed before the zeros are dropped to fix its rounding
         self.mass = float(np.sum(c))
         keep = c != 0.0
-        self.Z = Z[keep]
+        # column-major: each chunk reads the grid one coordinate at a time
+        self.Z = np.asfortranarray(Z[keep])
         self.c = c[keep]
         self.expos = tuple(expos)
 
@@ -288,8 +301,10 @@ class _SupportGridKernel:
             for j in range(1, Y.shape[1]):
                 np.subtract(Yb[:, None, j], self.Z[None, :, j], out=t)
                 d2 += np.square(t, out=t)
+            # one log for all exponents: |y - z|^e = exp((e/2) log |y - z|^2)
+            np.log(d2, out=d2)
             for k, e in enumerate(self.expos):
-                np.power(d2, e / 2.0, out=t)
+                np.exp(np.multiply(d2, e / 2.0, out=t), out=t)
                 t *= self.c
                 out[i : i + rows, k] = t.sum(axis=1)
         return out
@@ -586,9 +601,13 @@ def gagliardo_seminorm(f, alpha, spec):
 
 
 def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
-    """|| weight_field * D^alpha_p h ||_{L^p} and the hard bound on its p-th
-    power.  ``weight_field`` of None means the plain norm of the operator
-    output, taken over 2^outer_shells envelope radii plus the envelope tail.
+    """|| weight_field * D^alpha_p h ||_{L^p} and a hard bound on it.
+    ``weight_field`` of None means the plain norm of the operator output,
+    taken over 2^outer_shells envelope radii plus the envelope tail.  The
+    hard bound e of the p-th power becomes e v^{1-p} / p on the root v, as
+    in ``_frac_derivative_schedule``; at v = 0 it becomes e^{1/p}, which
+    bounds the root of any integral in [0, e].  Both leave p = 1 bounds as
+    they are.
     """
     D = _DalphaField(h, (alpha,), spec, p)
     if weight_field is not None:
@@ -596,7 +615,8 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     else:
         R_num = 2.0**spec.outer_shells * D.envelope_radius
     (value,), (hard,) = _outer_integral(D, R_num, spec, weight_field)
-    return value ** (1.0 / p), hard
+    root = value ** (1.0 / p)
+    return root, hard * root ** (1.0 - p) / p if root > 0 else hard ** (1.0 / p)
 
 
 def leibniz_gap(f, g, alpha, p, spec):

@@ -162,3 +162,115 @@ def test_standard_catalog_contents():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         product(bump(2), bump(3))
+
+
+# ---------------------------------------------------------------------------
+# memory layout: the engine passes column-major node arrays
+# ---------------------------------------------------------------------------
+
+
+def _ref_sq(d):
+    t = np.square(d[..., 0])
+    for j in range(1, d.shape[-1]):
+        t = t + np.square(d[..., j])
+    return t
+
+
+def _ref_bump(c, scale=1.0):
+    """The bump through a broadcast x - c over the last axis."""
+    s2 = float(scale) ** 2
+
+    def ev(x):
+        t = _ref_sq(x - c) / s2
+        return np.exp(-1.0 / np.fmax(1.0 - t, 1e-14))
+
+    def gr(x):
+        d = x - c
+        t = _ref_sq(d) / s2
+        out = np.zeros_like(d)
+        inside = t < 1.0 - 1e-14
+        w = 1.0 - t[inside]
+        out[inside] = (-np.exp(-1.0 / w) / w**2 * (2.0 / s2))[:, None] * d[inside]
+        return out
+
+    return ev, gr
+
+
+def _ref_poly_bump(c, k, scale=1.0):
+    s2 = float(scale) ** 2
+
+    def ev(x):
+        t = _ref_sq(x - c) / s2
+        return np.where(t < 1.0, np.clip(1.0 - t, 0.0, None) ** k, 0.0)
+
+    def gr(x):
+        d = x - c
+        t = _ref_sq(d) / s2
+        coef = np.where(t < 1.0, -k * np.clip(1.0 - t, 0.0, None) ** (k - 1), 0.0)
+        return coef[..., None] * d * (2.0 / s2)
+
+    return ev, gr
+
+
+def _ref_modulated(k, base):
+    """sin(x @ k) times the base; the catalog's wavevector (2, 0, ..) makes
+    x @ k exact, whatever order a product sums in."""
+    bev, bgr = base
+
+    def ev(x):
+        b, s = bev(x), x @ k
+        return np.where(b != 0.0, np.sin(s), s) * b
+
+    def gr(x):
+        s = x @ k
+        return (np.cos(s) * bev(x))[..., None] * k + np.sin(s)[..., None] * bgr(x)
+
+    return ev, gr
+
+
+def _layout_cases(n):
+    z = np.zeros(n)
+    c = np.linspace(0.1, -0.2, n)
+    k = np.array([2.0] + [0.0] * (n - 1))
+    b = _ref_bump(z)
+    pev, pgr = _ref_poly_bump(z, 3)
+    mev, mgr = _ref_modulated(k, b)
+    v = np.full(n, 0.25)
+    return [
+        (make_field("bump", n), b),
+        (make_field("bump", n, {"center": c.tolist(), "scale": 0.7}), _ref_bump(c, 0.7)),
+        (make_field("poly_bump", n), (pev, pgr)),
+        (make_field("poly_bump", n, {"k": 4, "center": c.tolist()}), _ref_poly_bump(c, 4)),
+        (make_field("modulated_bump", n), (mev, mgr)),
+        (make_field("zero", n), (lambda x: np.zeros(x.shape[:-1]), lambda x: np.zeros(x.shape))),
+        (translate(bump(n), v), (lambda x: b[0](x - v), lambda x: b[1](x - v))),
+        (dilate(poly_bump(n), 1.5), (lambda x: pev(1.5 * x), lambda x: 1.5 * pgr(1.5 * x))),
+        (product(bump(n), modulated_bump(n, k)),
+         (lambda x: b[0](x) * mev(x),
+          lambda x: b[1](x) * mev(x)[..., None] + mgr(x) * b[0](x)[..., None])),
+    ]
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("field, ref", [c for n in (1, 2, 3) for c in _layout_cases(n)],
+                         ids=lambda v: f"{v.name}-{v.dim}d" if hasattr(v, "name") else "")
+def test_eval_and_grad_do_not_depend_on_memory_layout(field, ref):
+    n = field.dim
+    rng = np.random.default_rng(23)
+    # inside, on the edge of and beyond the support, in blocks of one radius
+    X = rng.standard_normal((300, n))
+    X *= (rng.uniform(0.0, 1.3, 300) * field.support_radius / np.linalg.norm(X, axis=1))[:, None]
+    X[0] = 0.0
+    wide = np.zeros((X.shape[0], 2 * n))
+    wide[:, ::2] = X
+    layouts = [X, np.asfortranarray(X), wide[:, ::2]]
+    for h, want in ((field.eval, ref[0](X)), (field.grad, ref[1](X))):
+        for Y in layouts:
+            assert _bits(h(Y)) == _bits(want)
+        # a single point of shape (n,)
+        for i in (0, 7, 150):
+            assert _bits(h(X[i])) == _bits(want[i])

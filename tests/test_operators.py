@@ -10,6 +10,7 @@ from nonlocal_bbm.fields import (
     dilate,
     modulated_bump,
     poly_bump,
+    product,
     translate,
     zero_field,
 )
@@ -24,7 +25,10 @@ from nonlocal_bbm.operators import (
     linear_kernel_identity,
     riesz_of_field_values,
     riesz_potential,
+    _DalphaField,
+    _SupportGridKernel,
     _lp_norm_of_operator,
+    _outer_integral,
     _seminorm_value,
 )
 from nonlocal_bbm.quadrature import (
@@ -190,6 +194,37 @@ def test_leibniz_gap_always_converged():
     assert out.converged
 
 
+KERNEL_CASES = [
+    (f, p)
+    for f in (bump(2), modulated_bump(2, [2.0, 0.0]), bump(3))
+    for p in (1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("f, p", KERNEL_CASES, ids=lambda v: getattr(v, "name", None))
+def test_support_grid_kernel_matches_direct_power_sum(f, p):
+    # one shared log per chunk against one np.power per exponent
+    n = f.dim
+    alphas = (0.6, 0.9, 0.99)
+    expos = [-(n + a * p) for a in alphas]
+    order = 40 if n <= 2 else 24
+    density = lambda Z: np.abs(f.eval(Z)) ** p  # noqa: E731
+    K = _SupportGridKernel(f, order, density, expos)
+    rng = np.random.default_rng(17)
+    Y = rng.standard_normal((60, n))
+    Y *= rng.uniform(f.support_radius + 0.5, 4.0, size=60)[:, None] / np.linalg.norm(
+        Y, axis=1, keepdims=True
+    )
+    got = K(Y)
+    d2 = ((Y[:, None, :] - K.Z[None, :, :]) ** 2).sum(axis=-1)
+    for k, e in enumerate(expos):
+        want = (np.power(d2, e / 2.0) * K.c).sum(axis=1)
+        np.testing.assert_allclose(got[:, k], want, rtol=1e-14, atol=0.0)
+        # a column does not depend on the other exponents of its kernel
+        alone = _SupportGridKernel(f, order, density, [e])(Y)
+        assert np.array_equal(alone[:, 0], got[:, k])
+
+
 def test_riesz_validation():
     g = DecayingFunction(dim=2, eval=lambda Y: np.ones(np.atleast_2d(Y).shape[0]),
                          decay_exponent=0.2, decay_constant=1.0)
@@ -329,6 +364,20 @@ def test_seminorm_and_plain_operator_norm_share_one_outer_integral(h):
     spec = fast_spec(2)
     (value,), (hard,) = _seminorm_value(h, (0.7,), spec)
     assert _lp_norm_of_operator(h, None, 0.7, 1.0, spec) == (value, hard)
+
+
+def test_operator_norm_bound_is_in_root_units():
+    # the hard bound e on the integral of |D_2(fg)|^2 becomes e v^{1-p} / p
+    # on its root v
+    fg = product(bump(2), poly_bump(2, k=3))
+    spec = fast_spec(2)
+    D = _DalphaField(fg, (0.5,), spec, 2.0)
+    (_,), (raw,) = _outer_integral(D, 2.0**spec.outer_shells * D.envelope_radius, spec)
+    value, hard = _lp_norm_of_operator(fg, None, 0.5, 2.0, spec)
+    assert value == pytest.approx(1.30672, rel=1e-5)
+    assert raw == pytest.approx(7.56e-4, rel=1e-3)
+    assert hard == raw * value ** (1.0 - 2.0) / 2.0
+    assert hard == pytest.approx(2.89e-4, rel=1e-3)
 
 
 @pytest.mark.parametrize("pair", [(bump(2), bump(2)), (bump(2), poly_bump(2, k=3))])
