@@ -2,7 +2,7 @@
 thread pool with deterministic ordered assembly, CSV/JSON report emission and
 golden-file comparison.
 
-Exit codes: 0 all-pass, 1 audit failure or non-convergence or golden
+Exit codes: 0 all-pass, 1 a report row with ``pass`` "0" or a golden
 mismatch, 2 config / parse error.
 """
 
@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -53,9 +53,7 @@ _CONFIG_KEYS = {
 }
 _FIELD_KEYS = {"name", "params"}
 _OUTPUT_KEYS = {"csv", "json"}
-_QUAD_KEYS = {
-    "inner_shells", "outer_shells", "gauss_order", "sphere_order", "target_rel_error",
-}
+_QUAD_KEYS = {f.name for f in fields(QuadratureSpec)}
 
 
 class ConfigError(Exception):
@@ -231,19 +229,22 @@ def parse_config(path, quad_preset=None):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
+def _json_float(x):
     if x is None:
-        return ""
+        return None
     x = float(x)
     if math.isnan(x):
-        return ""
-    return format(x, ".17g")
+        return None
+    return x
+
+
+def _fmt(x):
+    x = _json_float(x)
+    return "" if x is None else format(x, ".17g")
 
 
 def _fmt_point(pt):
-    if pt is None:
-        return ""
-    return ";".join(format(float(c), ".17g") for c in pt)
+    return "" if pt is None else ";".join(_fmt(c) for c in pt)
 
 
 def _csv_row(case_id, alpha, point, value, error_estimate, target=None,
@@ -266,36 +267,6 @@ def _write_json(path, summary):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isnan(x):
-        return None
-    return x
-
-
-def _sweep_json_case(case_id, point, report):
-    return {
-        "case_id": case_id,
-        "point": list(point) if point is not None else None,
-        "target_description": report.target_description,
-        "rows": [
-            {
-                "alpha": r.alpha,
-                "value": _json_float(r.value),
-                "error_estimate": _json_float(r.error_estimate),
-                "target": _json_float(r.target),
-                "abs_error": _json_float(r.abs_error),
-                "rel_error": _json_float(r.rel_error),
-                "converged": r.converged,
-                "note": r.note,
-            }
-            for r in report.rows
-        ],
-    }
 
 
 def _map_ordered(fn, items, threads):
@@ -326,35 +297,31 @@ def _run_constants(cfg):
         row(f"constant:riesz_norm:n={n}", riesz_constant(n, a), alpha=a)
     if n >= 2:
         row(f"constant:riesz_norm:n={n}", riesz_constant(n, 1.0), alpha=1.0)
-    return rows, {"cases": [], "fits": [], "audits": []}, 0
+    return rows, {}
 
 
 def _run_eval(cfg, threads):
     f = cfg.make_field()
-    quad = cfg.quadrature
+    case_id = f"eval:{f.name}:n={cfg.dimension}:p={cfg.p:g}"
 
     def one(point):
-        values = _frac_derivative_schedule(f, cfg.schedule.values, cfg.p, np.array(point), quad)
-        return [(a, point, ov) for a, ov in zip(cfg.schedule.values, values)]
+        values = _frac_derivative_schedule(
+            f, cfg.schedule.values, cfg.p, np.array(point), cfg.quadrature
+        )
+        return [
+            _csv_row(case_id, a, point, ov.value, ov.error_estimate,
+                     passed="1" if ov.converged else "0")
+            for a, ov in zip(cfg.schedule.values, values)
+        ]
 
-    results = _map_ordered(one, list(cfg.points), threads)
-    rows, cases, bad = [], [], 0
-    for chunk in results:
-        for a, point, ov in chunk:
-            bad += 0 if ov.converged else 1
-            rows.append(_csv_row(
-                f"eval:{f.name}:n={cfg.dimension}:p={cfg.p:g}", a, point, ov.value,
-                ov.error_estimate, passed="1" if ov.converged else "0",
-            ))
-    summary = {"cases": cases, "fits": [], "audits": []}
-    return rows, summary, (1 if bad else 0)
+    chunks = _map_ordered(one, list(cfg.points), threads)
+    return [row for chunk in chunks for row in chunk], {}
 
 
 def _run_sweep(cfg, threads):
     f = cfg.make_field()
     quad = cfg.quadrature
     rows, cases, fits = [], [], []
-    bad = 0
 
     if cfg.sweep_kind == "seminorm":
         units = [None]
@@ -376,7 +343,15 @@ def _run_sweep(cfg, threads):
                      r.abs_error, r.rel_error, "1" if r.converged else "0")
             for r in report.rows
         )
-        cases.append(_sweep_json_case(case_id, point, report))
+        cases.append({
+            "case_id": case_id,
+            "point": list(point) if point is not None else None,
+            "target_description": report.target_description,
+            "rows": [
+                {k: _json_float(v) if isinstance(v, float) else v for k, v in asdict(r).items()}
+                for r in report.rows
+            ],
+        })
         if report.fit is not None:
             c_fit, slope = report.fit
             fits.append({
@@ -384,19 +359,16 @@ def _run_sweep(cfg, threads):
                 "C": _json_float(c_fit),
                 "slope": None if math.isinf(slope) else _json_float(slope),
             })
-        bad += sum(0 if r.converged else 1 for r in report.rows)
-    return rows, {"cases": cases, "fits": fits, "audits": []}, (1 if bad else 0)
+    return rows, {"cases": cases, "fits": fits}
 
 
-def _run_audit(cfg, threads):
+def _run_audit(cfg):
     f = cfg.make_field()
     report = inequality_audit(
         f, cfg.schedule, [np.array(p) for p in cfg.points], cfg.quadrature
     )
-    rows, bad = [], report.failures
+    rows = []
     for r in report.rows:
-        if not r.converged:
-            bad += 1
         if r.passed is None:
             flag = "" if r.converged else "0"
         else:
@@ -410,78 +382,109 @@ def _run_audit(cfg, threads):
         "failures": report.failures,
         "ratio_suprema": {k: _json_float(v) for k, v in report.ratio_suprema.items()},
     }]
-    return rows, {"cases": [], "fits": [], "audits": audits}, (1 if bad else 0)
+    return rows, {"audits": audits}
 
 
-def _run_report(cfg):
-    try:
-        with open(cfg.json_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read summary {cfg.json_path}: {exc}", file=sys.stderr)
-        return 2
-    print(f"summary version {summary.get('version')} "
-          f"config {str(summary.get('config_hash'))[:12]}")
-    for case in summary.get("cases", []):
-        print(f"case {case['case_id']}")
-        for r in case.get("rows", []):
-            rel = r.get("rel_error")
+def _entries(doc, key, where):
+    """The objects listed at ``doc[key]`` of a summary, none when missing."""
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+        raise ValueError(f"field '{where}{key}': must be a list of objects, got {items!r}")
+    return items
+
+
+def _number(doc, key, where, optional=False):
+    """The number at ``doc[key]`` of a summary; None too when ``optional``."""
+    x = doc.get(key)
+    if (x is None and optional) or isinstance(x, (int, float)) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"field '{where}{key}': must be a number, got {x!r}")
+
+
+def _report_lines(summary):
+    """The lines ``report`` prints for a summary; a malformed field raises a
+    ValueError that names it."""
+    if not isinstance(summary, dict):
+        raise ValueError(f"the root must be a JSON object, got {type(summary).__name__}")
+    lines = [f"summary version {summary.get('version')} "
+             f"config {str(summary.get('config_hash'))[:12]}"]
+    for i, case in enumerate(_entries(summary, "cases", "")):
+        lines.append(f"case {case.get('case_id')}")
+        for j, r in enumerate(_entries(case, "rows", f"cases[{i}].")):
+            where = f"cases[{i}].rows[{j}]."
+            rel = _number(r, "rel_error", where, optional=True)
             rel_s = f"{rel:.3e}" if rel is not None else "n/a"
-            print(f"  alpha={r['alpha']:<8g} value={r['value']:.9g} "
-                  f"rel_error={rel_s}")
-    for fit in summary.get("fits", []):
-        slope = fit.get("slope")
-        print(f"fit {fit['case_id']}: C={fit['C']:.4g} "
-              f"slope={'inf' if slope is None else format(slope, '.4g')}")
-    for audit in summary.get("audits", []):
-        print(f"audit {audit['case_id']}: failures={audit['failures']} "
-              f"suprema={audit['ratio_suprema']}")
+            lines.append(f"  alpha={_number(r, 'alpha', where):<8g} "
+                         f"value={_number(r, 'value', where):.9g} rel_error={rel_s}")
+    for i, fit in enumerate(_entries(summary, "fits", "")):
+        slope = _number(fit, "slope", f"fits[{i}].", optional=True)
+        lines.append(f"fit {fit.get('case_id')}: C={_number(fit, 'C', f'fits[{i}].'):.4g} "
+                     f"slope={'inf' if slope is None else format(slope, '.4g')}")
+    for audit in _entries(summary, "audits", ""):
+        lines.append(f"audit {audit.get('case_id')}: failures={audit.get('failures')} "
+                     f"suprema={audit.get('ratio_suprema')}")
+    return lines
+
+
+def _run_report(json_path):
+    """Print the summary at ``json_path``; 2 when it cannot be read."""
+    try:
+        with open(json_path, encoding="utf-8") as fh:
+            lines = _report_lines(json.load(fh))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read summary {json_path}: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 
 def _report_paths(cfg, out_dir):
-    """The CSV and JSON paths a run writes, with ``out_dir`` made.  A path
-    whose directory is missing is a ConfigError, raised before any row is
-    computed; the directories ``outputs`` names are never made."""
-    csv_path, json_path = cfg.csv_path, cfg.json_path
+    """The CSV and JSON paths of a run's report: those ``outputs`` names, or
+    their basenames under ``out_dir``."""
+    paths = (cfg.csv_path, cfg.json_path)
+    if out_dir is None:
+        return paths
+    return tuple(os.path.join(out_dir, os.path.basename(path)) for path in paths)
+
+
+def run(cfg, threads=1, out_dir=None):
+    """Execute a validated config; writes CSV + JSON, returns the exit code:
+    1 if any report row has ``pass`` "0", else 0.  ``report`` mode reads the
+    JSON path a run writes and prints it instead.  A path whose directory is
+    missing is a ConfigError, raised before any row is computed; ``out_dir``
+    is made, the directories ``outputs`` names never are."""
+    csv_path, json_path = _report_paths(cfg, out_dir)
+    if cfg.mode == "report":
+        return _run_report(json_path)
     try:
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            csv_path = os.path.join(out_dir, os.path.basename(csv_path))
-            json_path = os.path.join(out_dir, os.path.basename(json_path))
     except OSError as exc:
         raise ConfigError(f"cannot write the report: {exc}") from exc
     for path in (csv_path, json_path):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write the report: no directory for {path!r}")
-    return csv_path, json_path
-
-
-def run(cfg, threads=1, out_dir=None):
-    """Execute a validated config; writes CSV + JSON, returns the exit code."""
-    if cfg.mode == "report":
-        return _run_report(cfg)
-    csv_path, json_path = _report_paths(cfg, out_dir)
     if cfg.mode == "constants":
-        rows, summary, code = _run_constants(cfg)
+        rows, sections = _run_constants(cfg)
     elif cfg.mode == "eval":
-        rows, summary, code = _run_eval(cfg, threads)
+        rows, sections = _run_eval(cfg, threads)
     elif cfg.mode == "sweep":
-        rows, summary, code = _run_sweep(cfg, threads)
+        rows, sections = _run_sweep(cfg, threads)
     else:
-        rows, summary, code = _run_audit(cfg, threads)
+        rows, sections = _run_audit(cfg)
 
     summary = {
         "version": __version__,
         "config_hash": cfg.config_hash,
-        **summary,
+        "cases": [], "fits": [], "audits": [],
+        **sections,
     }
     try:
         _write_csv(csv_path, rows)
         _write_json(json_path, summary)
     except OSError as exc:
         raise ConfigError(f"cannot write the report: {exc}") from exc
-    return code
+    return 1 if any(row["pass"] == "0" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +583,7 @@ def main(argv=None):
             print(msg, file=sys.stderr)
         return code
     try:
-        cfg = parse_config(args.config, quad_preset=args.quad_preset)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.mode != args.command:
-        cfg = RunConfig(**{**cfg.__dict__, "mode": args.command})
-    try:
+        cfg = replace(parse_config(args.config, quad_preset=args.quad_preset), mode=args.command)
         return run(cfg, threads=max(1, args.threads), out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ __all__ = [
     "standard_catalog",
 ]
 
-_SMOOTHNESS_RANK = {"Cinf": 3, "C2": 2, "C1": 1}
 _NORM_SAMPLES = 4096
 _SAFETY = 1.01
 
@@ -56,7 +55,6 @@ class TestField:
     grad_sup_norm: float
     hess_sup_norm: float
     radial: bool
-    smoothness: str
     name: str = "field"
 
 
@@ -147,7 +145,7 @@ def bump(n, center=None, scale=1.0):
         dim=n, eval=ev, grad=gr,
         support_radius=float(np.linalg.norm(c)) + float(scale),
         sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
-        radial=bool(np.all(c == 0.0)), smoothness="Cinf",
+        radial=bool(np.all(c == 0.0)),
         name=f"bump{n}d",
     )
 
@@ -183,7 +181,7 @@ def poly_bump(n, k=3, center=None, scale=1.0):
         dim=n, eval=ev, grad=gr,
         support_radius=float(np.linalg.norm(c)) + float(scale),
         sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
-        radial=bool(np.all(c == 0.0)), smoothness="C2",
+        radial=bool(np.all(c == 0.0)),
         name=f"poly_bump{n}d_k{k}",
     )
 
@@ -220,7 +218,7 @@ def modulated_bump(n, wavevector, base=None):
         dim=n, eval=ev, grad=gr,
         support_radius=base.support_radius,
         sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
-        radial=False, smoothness=base.smoothness,
+        radial=False,
         name=f"modulated_{base.name}",
     )
 
@@ -273,7 +271,6 @@ def product(f, g):
             + g.sup_norm * f.hess_sup_norm
         ),
         radial=f.radial and g.radial,
-        smoothness=min((f.smoothness, g.smoothness), key=_SMOOTHNESS_RANK.get),
         name=f"{f.name}*{g.name}",
     )
 
@@ -287,7 +284,7 @@ def zero_field(n):
         grad=lambda x: np.zeros(np.asarray(x).shape),
         support_radius=1.0,
         sup_norm=0.0, grad_sup_norm=0.0, hess_sup_norm=0.0,
-        radial=True, smoothness="Cinf", name="zero",
+        radial=True, name="zero",
     )
 
 

@@ -107,6 +107,20 @@ def _check_alpha(alpha, upper=1.0):
         raise ValueError(f"alpha must be in (0, {upper}), got {alpha}")
 
 
+def _check_p(p):
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
+
+
+def _root(value, hard, p):
+    """The p-th root v of an integral ``value`` and a bound on its error from
+    the bound ``hard`` on the integral's: hard v^{1-p} / p, and hard^{1/p}
+    at v = 0, which bounds the root of any integral in [0, hard].  Both
+    leave p = 1 bounds as they are."""
+    v = value ** (1.0 / p)
+    return v, hard * v ** (1.0 - p) / p if v > 0 else hard ** (1.0 / p)
+
+
 def _as_point(x, n):
     return np.asarray(x, dtype=float).reshape(n)
 
@@ -225,17 +239,14 @@ def _frac_derivative_schedule(f, alphas, p, x, spec):
     per alpha, from one full- and one half-resolution engine pass."""
     for a in alphas:
         _check_alpha(a)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     X = _as_point(x, f.dim)[None, :]
     if not np.all(np.isfinite(X)):
         raise ValueError(f"evaluation point must be finite, got {X[0].tolist()}")
 
     def run(quad):
         v, e = _dalpha_integral_batch(f, alphas, X, quad, p=p)
-        vals = [c ** (1.0 / p) for c in v[0].tolist()]
-        hard = [c * u ** (1.0 - p) / p if u > 0 else 0.0 for c, u in zip(e[0].tolist(), vals)]
-        return vals, hard
+        return zip(*(_root(c, h, p) for c, h in zip(v[0].tolist(), e[0].tolist())))
 
     return _two_resolution(run, spec)
 
@@ -375,6 +386,7 @@ def frac_derivative_field(f, alpha, spec, p=1.0):
     """The nonlocal derivative as an evaluable decaying function of y, with
     the decay envelope of ``_DalphaField``."""
     _check_alpha(alpha)
+    _check_p(p)
     g = _dalpha_decaying(f, (alpha,), spec, p)
     (d,), (c,) = g.decay_exponent, g.decay_constant
     return replace(g, eval=lambda Y: g.eval(Y)[:, 0], decay_exponent=d, decay_constant=c)
@@ -490,13 +502,11 @@ def riesz_of_gradient(f, x, spec):
     x = _as_point(x, n)
     R0 = f.support_radius
     if float(np.linalg.norm(x)) > R0 + 0.25:
-        # no singularity inside the source region: plain tensor-grid
-        # convolution over the support box, refined once for the estimate
+        # no singularity inside the source region: the support-grid
+        # convolution, refined once for the estimate
         def grid_value(m):
-            Z, wz = box_rule(-R0, R0, n, m)
-            gv = np.linalg.norm(f.grad(Z), axis=1)
-            d = np.linalg.norm(x[None, :] - Z, axis=1)
-            return riesz_constant(n, 1.0) * pairwise_sum(wz * gv * d ** (1.0 - n))
+            K = _SupportGridKernel(f, m, lambda Z: np.linalg.norm(f.grad(Z), axis=1), (1 - n,))
+            return riesz_constant(n, 1.0) * float(K(x[None, :])[0, 0])
         m = 96 if n == 2 else 32
         return _estimate(grid_value(m), grid_value((2 * m) // 3), 0.0, spec)
     g = _supported(f, lambda Y: np.linalg.norm(f.grad(np.atleast_2d(Y)), axis=-1))
@@ -523,8 +533,7 @@ def _bbm_schedule(f, alphas, p, x, spec):
             raise ValueError(
                 f"composed operator is evaluated in the regime alpha in (1/2, 1), got {alpha}"
             )
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     raws = _two_resolution(lambda quad: _composed_value(f, alphas, p, x, quad), spec)
     out = []
     for alpha, raw in zip(alphas, raws):
@@ -603,11 +612,7 @@ def gagliardo_seminorm(f, alpha, spec):
 def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     """|| weight_field * D^alpha_p h ||_{L^p} and a hard bound on it.
     ``weight_field`` of None means the plain norm of the operator output,
-    taken over 2^outer_shells envelope radii plus the envelope tail.  The
-    hard bound e of the p-th power becomes e v^{1-p} / p on the root v, as
-    in ``_frac_derivative_schedule``; at v = 0 it becomes e^{1/p}, which
-    bounds the root of any integral in [0, e].  Both leave p = 1 bounds as
-    they are.
+    taken over 2^outer_shells envelope radii plus the envelope tail.
     """
     D = _DalphaField(h, (alpha,), spec, p)
     if weight_field is not None:
@@ -615,8 +620,7 @@ def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
     else:
         R_num = 2.0**spec.outer_shells * D.envelope_radius
     (value,), (hard,) = _outer_integral(D, R_num, spec, weight_field)
-    root = value ** (1.0 / p)
-    return root, hard * root ** (1.0 - p) / p if root > 0 else hard ** (1.0 / p)
+    return _root(value, hard, p)
 
 
 def leibniz_gap(f, g, alpha, p, spec):
@@ -627,8 +631,7 @@ def leibniz_gap(f, g, alpha, p, spec):
     _check_alpha(alpha)
     if f.dim != g.dim:
         raise ValueError("dimension mismatch in leibniz_gap")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     fg = product(f, g)
 
     def run(quad):

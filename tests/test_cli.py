@@ -171,6 +171,27 @@ def test_audit_coarse_quadrature_flags_nonconvergence(tmp_path):
     assert any(line.split(",")[-1] == "0" for line in lines)
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("constants", "pointwise"), ("eval", "pointwise"), ("sweep", "pointwise"),
+    ("sweep", "seminorm"), ("audit", "pointwise"),
+])
+def test_exit_code_is_1_exactly_when_a_row_fails(tmp_path, command, kind):
+    cfgp = _write_config(tmp_path / "c.json", {
+        "dimension": 2, "field": {"name": "bump"}, "sweep_kind": kind,
+        "points": [[0.2, 0.1]], "schedule": [0.7, 0.99],
+        "quadrature": {
+            "inner_shells": 8, "outer_shells": 6,
+            "gauss_order": 8, "sphere_order": 16,
+            "target_rel_error": 1e-9,
+        },
+        "outputs": {"csv": "e.csv", "json": "e.json"},
+    })
+    code = main([command, "--config", cfgp, "--out", str(tmp_path)])
+    lines = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert code == (1 if any(line.split(",")[-1] == "0" for line in lines) else 0)
+    assert code == (0 if command == "constants" else 1)
+
+
 def test_json_summary_round_trips(tmp_path):
     cfgp = _write_config(tmp_path / "c.json", {
         "dimension": 2, "field": {"name": "zero"},
@@ -291,6 +312,51 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfgp]) == 2
     assert str(missing_json) in capsys.readouterr().err
     assert not missing_json.parent.exists()
+
+
+def _zero_sweep_config(tmp_path):
+    return _write_config(tmp_path / "c.json", {
+        "dimension": 2, "field": {"name": "zero"},
+        "mode": "sweep", "sweep_kind": "pointwise",
+        "points": [[0.0, 0.0]], "schedule": [0.7, 0.99],
+        "quadrature": _coarse_quad(),
+        "outputs": {"csv": "s.csv", "json": "s.json"},
+    })
+
+
+def test_report_reads_the_summary_a_sweep_wrote_under_out(tmp_path, capsys):
+    cfgp = _zero_sweep_config(tmp_path)
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", cfgp, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "case pointwise:zero:n=2" in printed
+    assert "alpha=0.99" in printed
+
+
+def test_report_makes_no_directory(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["report", "--config", _zero_sweep_config(tmp_path),
+                 "--out", str(missing)]) == 2
+    assert str(missing / "s.json") in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("summary, field", [
+    ([1, 2], "root"),
+    ({"cases": [{"case_id": "c", "rows": [{"alpha": 0.9, "value": None}]}]},
+     "cases[0].rows[0].value"),
+    ({"cases": {"case_id": "c"}}, "cases"),
+    ({"fits": [{"case_id": "c", "C": "x", "slope": 1.0}]}, "fits[0].C"),
+])
+def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, summary, field):
+    cfgp = _zero_sweep_config(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert main(["report", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "s.json") in err
+    assert field in err
 
 
 class TestCompareGolden:

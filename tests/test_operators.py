@@ -24,11 +24,13 @@ from nonlocal_bbm.operators import (
     leibniz_gap,
     linear_kernel_identity,
     riesz_of_field_values,
+    riesz_of_gradient,
     riesz_potential,
     _DalphaField,
     _SupportGridKernel,
     _lp_norm_of_operator,
     _outer_integral,
+    _root,
     _seminorm_value,
 )
 from nonlocal_bbm.quadrature import (
@@ -62,6 +64,31 @@ def test_alpha_and_p_validation():
         frac_derivative(f, 0.0, np.zeros(2), spec)
     with pytest.raises(ValueError):
         frac_derivative_p(f, 0.5, 0.5, np.zeros(2), spec)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda f, p: frac_derivative_p(f, 0.9, p, np.zeros(2), fast_spec(2)),
+    lambda f, p: bbm_operator_p(f, 0.9, p, np.zeros(2), fast_spec(2)),
+    lambda f, p: leibniz_gap(f, f, 0.9, p, fast_spec(2)),
+    lambda f, p: frac_derivative_field(f, 0.9, fast_spec(2), p=p),
+], ids=["frac_derivative_p", "bbm_operator_p", "leibniz_gap", "frac_derivative_field"])
+def test_p_outside_one_to_infinity_rejected(entry, p):
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        entry(bump(2), p)
+
+
+def test_root_bound_at_zero_bounds_any_root():
+    # a bound e on an integral in [0, e] bounds its p-th root by e^{1/p}
+    assert _root(0.0, 1e-8, 2.0) == (0.0, 1e-8 ** 0.5)
+    assert _root(0.0, 1e-8, 1.0) == (0.0, 1e-8)
+    assert _root(4.0, 1e-8, 2.0) == (2.0, 1e-8 * 2.0 ** -1.0 / 2.0)
+
+
+def test_riesz_of_gradient_far_value_is_a_python_float():
+    ov = riesz_of_gradient(bump(2), np.array([3.0, 0.0]), fast_spec(2))
+    assert type(ov.value) is float and type(ov.error_estimate) is float
+    assert ov.value == pytest.approx(0.0750098, rel=1e-6)
 
 
 def test_non_finite_point_rejected():
