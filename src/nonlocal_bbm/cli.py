@@ -450,12 +450,16 @@ def _report_paths(cfg, out_dir):
 def run(cfg, threads=1, out_dir=None):
     """Execute a validated config; writes CSV + JSON, returns the exit code:
     1 if any report row has ``pass`` "0", else 0.  ``report`` mode reads the
-    JSON path a run writes and prints it instead.  A path whose directory is
-    missing is a ConfigError, raised before any row is computed; ``out_dir``
+    JSON path a run writes and prints it instead.  A ``p`` other than 1 for
+    an audit or a pointwise or seminorm sweep, and a path whose directory is
+    missing, are ConfigErrors, raised before any row is computed; ``out_dir``
     is made, the directories ``outputs`` names never are."""
     csv_path, json_path = _report_paths(cfg, out_dir)
     if cfg.mode == "report":
         return _run_report(json_path)
+    what = {"audit": "an audit", "sweep": f"a {cfg.sweep_kind} sweep"}.get(cfg.mode)
+    if cfg.p != 1.0 and what not in (None, "a composed sweep"):
+        raise ConfigError(f"field 'p': {what} is computed at p = 1 only, got {cfg.p:g}")
     try:
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)

@@ -78,14 +78,14 @@ def bbm_constant_p(n, p):
 
     Reduces to K_n at p = 1.  Uses the closed form of the absolute moment
     int |w.e|^p dsigma = 2 pi^{(n-1)/2} Gamma((p+1)/2) / Gamma((n+p)/2).
+    Where (n+p)/2 is beyond ``gamma_fn``'s range it is formed from
+    log-gamma, whose absolute error the root divides by p.
     """
     check_dimension(n, minimum=2)
     if p < 1:
         raise ValueError(f"bbm_constant_p requires p >= 1, got {p}")
-    moment = (
-        2.0
-        * math.pi ** ((n - 1) / 2.0)
-        * gamma_fn((p + 1) / 2.0)
-        / gamma_fn((n + p) / 2.0)
-    )
-    return (moment / p) ** (1.0 / p)
+    c = 2.0 * math.pi ** ((n - 1) / 2.0)
+    a, b = (p + 1) / 2.0, (n + p) / 2.0
+    if b > _GAMMA_MAX_ARG:
+        return math.exp((math.log(c) + math.lgamma(a) - math.lgamma(b) - math.log(p)) / p)
+    return (c * gamma_fn(a) / gamma_fn(b) / p) ** (1.0 / p)

@@ -110,8 +110,13 @@ def _dot(x, k):
     return s
 
 
-def bump(n, center=None, scale=1.0):
-    """Canonical C_c^infinity bump exp(-1/(1 - |x-c|^2/s^2)) on |x-c| < s."""
+def _ball_field(n, center, scale, name, profile, grad):
+    """The field profile(u) of u = 1 - |x - c|^2/s^2 on the ball |x - c| < s.
+
+    ``profile(u)`` maps u in place to the values, 0 wherever u <= 0.
+    ``grad(t, d, s2)`` gives the gradient from t = |x - c|^2/s^2,
+    d = x - c and s2 = s^2.
+    """
     check_dimension(n)
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -122,17 +127,33 @@ def bump(n, center=None, scale=1.0):
         u = _sq_dist(np.asarray(x, dtype=float), c)
         if s2 != 1.0:  # dividing by 1 changes no bit
             u /= s2
-        np.subtract(1.0, u, out=u)
-        # 1 - t clamped at 1e-14: wherever that bites, exp(-1/(1 - t)) is
-        # already 0 to the last bit, so no inside mask is needed
+        return profile(np.subtract(1.0, u, out=u))
+
+    def gr(x):
+        x = np.asarray(x, dtype=float)
+        return grad(_sq_dist(x, c) / s2, x - c, s2)
+
+    sup, gsup, hsup = _estimate_norms(n, ev, gr, scale)
+    return TestField(
+        dim=n, eval=ev, grad=gr,
+        support_radius=float(np.linalg.norm(c)) + float(scale),
+        sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
+        radial=bool(np.all(c == 0.0)),
+        name=name,
+    )
+
+
+def bump(n, center=None, scale=1.0):
+    """Canonical C_c^infinity bump exp(-1/(1 - |x-c|^2/s^2)) on |x-c| < s."""
+
+    def profile(u):
+        # u clamped at 1e-14: wherever that bites, exp(-1/u) is already 0 to
+        # the last bit, so no inside mask is needed
         np.fmax(u, 1e-14, out=u)
         np.divide(-1.0, u, out=u)
         return np.exp(u, out=u)
 
-    def gr(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
-        t = _sq_dist(x, c) / s2
+    def grad(t, d, s2):
         out = np.zeros_like(d)
         inside = t < 1.0 - 1e-14
         w = 1.0 - t[inside]
@@ -140,50 +161,25 @@ def bump(n, center=None, scale=1.0):
         out[inside] = coef[:, None] * d[inside]
         return out
 
-    sup, gsup, hsup = _estimate_norms(n, ev, gr, scale)
-    return TestField(
-        dim=n, eval=ev, grad=gr,
-        support_radius=float(np.linalg.norm(c)) + float(scale),
-        sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
-        radial=bool(np.all(c == 0.0)),
-        name=f"bump{n}d",
-    )
+    return _ball_field(n, center, scale, f"bump{n}d", profile, grad)
 
 
 def poly_bump(n, k=3, center=None, scale=1.0):
     """C^2 witness (1 - |x-c|^2/s^2)^k on the ball, zero outside; k >= 3."""
-    check_dimension(n)
     if not isinstance(k, int) or k < 3:
         raise ValueError("poly_bump requires integer k >= 3")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
-    s2 = float(scale) ** 2
 
-    def ev(x):
-        t = _sq_dist(np.asarray(x, dtype=float), c)
-        if s2 != 1.0:
-            t /= s2
-        # (1 - t) clipped at 0 is already 0 wherever t >= 1
-        np.clip(np.subtract(1.0, t, out=t), 0.0, None, out=t)
-        t **= k
-        return t
+    def profile(u):
+        # u clipped at 0 is already 0 wherever |x - c| >= s
+        np.clip(u, 0.0, None, out=u)
+        u **= k
+        return u
 
-    def gr(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
-        t = _sq_dist(x, c) / s2
+    def grad(t, d, s2):
         coef = np.where(t < 1.0, -k * np.clip(1.0 - t, 0.0, None) ** (k - 1), 0.0)
         return coef[..., None] * d * (2.0 / s2)
 
-    sup, gsup, hsup = _estimate_norms(n, ev, gr, scale)
-    return TestField(
-        dim=n, eval=ev, grad=gr,
-        support_radius=float(np.linalg.norm(c)) + float(scale),
-        sup_norm=sup, grad_sup_norm=gsup, hess_sup_norm=hsup,
-        radial=bool(np.all(c == 0.0)),
-        name=f"poly_bump{n}d_k{k}",
-    )
+    return _ball_field(n, center, scale, f"poly_bump{n}d_k{k}", profile, grad)
 
 
 def modulated_bump(n, wavevector, base=None):
@@ -288,16 +284,18 @@ def zero_field(n):
     )
 
 
-def _ball_integral(f, values_of, spec, panels=16):
-    """Polar quadrature of a batched scalar map over the support ball."""
+def _ball_norms(f, spec, panels):
+    """Polar quadrature of |f| and of |grad f| over the support ball, both
+    from one node set."""
     n = f.dim
     rule = build_sphere_rule(n, spec.sphere_order)
     R = f.support_radius
     r, w = panel_ladder(spec.gauss_order, R, R, uniform=panels)
-    pts = r[:, None, None] * rule.nodes[None, :, :]
-    vals = values_of(pts.reshape(-1, n)).reshape(r.size, rule.size)
-    ang = vals @ rule.weights
-    return pairwise_sum(w * r ** (n - 1) * ang)
+    pts = (r[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
+    return [
+        pairwise_sum(w * r ** (n - 1) * (vals.reshape(r.size, rule.size) @ rule.weights))
+        for vals in (np.abs(f.eval(pts)), np.linalg.norm(f.grad(pts), axis=-1))
+    ]
 
 
 def w11_norms(f, spec):
@@ -306,16 +304,8 @@ def w11_norms(f, spec):
     Refined once to confirm convergence; raises if the refinement disagrees
     beyond the spec's relative target.
     """
-    def l1(pts):
-        return np.abs(f.eval(pts))
-
-    def gl1(pts):
-        return np.linalg.norm(f.grad(pts), axis=-1)
-
-    a1 = _ball_integral(f, l1, spec, panels=16)
-    g1 = _ball_integral(f, gl1, spec, panels=16)
-    a2 = _ball_integral(f, l1, spec, panels=24)
-    g2 = _ball_integral(f, gl1, spec, panels=24)
+    a1, g1 = _ball_norms(f, spec, panels=16)
+    a2, g2 = _ball_norms(f, spec, panels=24)
     scale = max(abs(a2), abs(g2), 1e-300)
     tol = max(spec.target_rel_error, 1e-8) * scale
     if max(abs(a1 - a2), abs(g1 - g2)) > max(tol, 1e-13):
@@ -342,8 +332,8 @@ _CATALOG_PARAMS = {
 def make_field(name, dim, params=None):
     """Instantiate a catalog field by name, as addressed from run configs.
 
-    Raises ValueError for an unknown name or a parameter the entry does not
-    take.
+    Raises ValueError for an unknown name, a parameter the entry does not
+    take, or a ``base`` that is not an object {"name": ..., "params": ...}.
     """
     if name not in _CATALOG_PARAMS:
         raise ValueError(
@@ -354,19 +344,19 @@ def make_field(name, dim, params=None):
     if unknown:
         raise ValueError(f"unknown parameter(s) {unknown} for catalog field {name!r}")
     if name == "bump":
-        return bump(dim, center=params.pop("center", None), scale=params.pop("scale", 1.0))
+        return bump(dim, **params)
     if name == "poly_bump":
-        return poly_bump(
-            dim, k=params.pop("k", 3),
-            center=params.pop("center", None), scale=params.pop("scale", 1.0),
-        )
+        return poly_bump(dim, **params)
     if name == "modulated_bump":
-        wave = params.pop("wavevector", None)
+        wave = params.get("wavevector")
         if wave is None:
             wave = [2.0] + [0.0] * (dim - 1)
-        base = params.pop("base", None)
-        base_field = make_field(base["name"], dim, base.get("params")) if base else None
-        return modulated_bump(dim, wave, base=base_field)
+        base = params.get("base")
+        if base is not None:
+            if not isinstance(base, dict) or "name" not in base or set(base) - {"name", "params"}:
+                raise ValueError(f"parameter 'base' must be a field object, got {base!r}")
+            base = make_field(base["name"], dim, base.get("params"))
+        return modulated_bump(dim, wave, base=base)
     return zero_field(dim)
 
 

@@ -102,9 +102,9 @@ class DecayingFunction:
     support_radius: Optional[float] = None
 
 
-def _check_alpha(alpha, upper=1.0):
-    if not 0.0 < alpha < upper:
-        raise ValueError(f"alpha must be in (0, {upper}), got {alpha}")
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1.0), got {alpha}")
 
 
 def _check_p(p):
@@ -501,16 +501,19 @@ def riesz_of_gradient(f, x, spec):
     n = check_dimension(f.dim, minimum=2)
     x = _as_point(x, n)
     R0 = f.support_radius
+
+    def grad_norm(Y):
+        return np.linalg.norm(f.grad(Y), axis=-1)
+
     if float(np.linalg.norm(x)) > R0 + 0.25:
         # no singularity inside the source region: the support-grid
         # convolution, refined once for the estimate
         def grid_value(m):
-            K = _SupportGridKernel(f, m, lambda Z: np.linalg.norm(f.grad(Z), axis=1), (1 - n,))
+            K = _SupportGridKernel(f, m, grad_norm, (1 - n,))
             return riesz_constant(n, 1.0) * float(K(x[None, :])[0, 0])
         m = 96 if n == 2 else 32
         return _estimate(grid_value(m), grid_value((2 * m) // 3), 0.0, spec)
-    g = _supported(f, lambda Y: np.linalg.norm(f.grad(np.atleast_2d(Y)), axis=-1))
-    return riesz_potential(g, 1.0, x, spec)
+    return riesz_potential(_supported(f, grad_norm), 1.0, x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +591,19 @@ def _outer_integral(D, R_num, spec, weight=None):
     return bodies, hard
 
 
-def _seminorm_value(f, alphas, spec):
-    """Single-resolution Gagliardo seminorms as int D^alpha f(x) dx, one per
-    alpha of ``alphas``, from one D^alpha field pass.  Returns (values,
-    hard_errors)."""
-    D = _DalphaField(f, alphas, spec)
-    return _outer_integral(D, 2.0**spec.outer_shells * D.envelope_radius, spec)
+def _dalpha_norms(h, alphas, spec, p=1.0, weight=None):
+    """Single-resolution ||weight D^alpha_p h||_{L^p} per alpha of ``alphas``,
+    from one D^alpha field pass, with hard bounds in root units.  With a
+    weight the integral runs over its support; without one, over
+    2^outer_shells envelope radii plus the envelope tail, and at p = 1 that
+    is the Gagliardo seminorm.  Returns (values, hard_errors)."""
+    D = _DalphaField(h, alphas, spec, p)
+    if weight is not None:
+        R_num = weight.support_radius
+    else:
+        R_num = 2.0**spec.outer_shells * D.envelope_radius
+    roots = [_root(v, e, p) for v, e in zip(*_outer_integral(D, R_num, spec, weight))]
+    return [v for v, _ in roots], [e for _, e in roots]
 
 
 def _seminorm_schedule(f, alphas, spec):
@@ -601,26 +611,12 @@ def _seminorm_schedule(f, alphas, spec):
     and one half-resolution pass."""
     for a in alphas:
         _check_alpha(a)
-    return _two_resolution(lambda quad: _seminorm_value(f, alphas, quad), spec)
+    return _two_resolution(lambda quad: _dalpha_norms(f, alphas, quad), spec)
 
 
 def gagliardo_seminorm(f, alpha, spec):
     """Double integral int int |f(x)-f(y)| / |x-y|^{n+alpha} dy dx."""
     return _seminorm_schedule(f, (alpha,), spec)[0]
-
-
-def _lp_norm_of_operator(h, weight_field, alpha, p, spec):
-    """|| weight_field * D^alpha_p h ||_{L^p} and a hard bound on it.
-    ``weight_field`` of None means the plain norm of the operator output,
-    taken over 2^outer_shells envelope radii plus the envelope tail.
-    """
-    D = _DalphaField(h, (alpha,), spec, p)
-    if weight_field is not None:
-        R_num = weight_field.support_radius
-    else:
-        R_num = 2.0**spec.outer_shells * D.envelope_radius
-    (value,), (hard,) = _outer_integral(D, R_num, spec, weight_field)
-    return _root(value, hard, p)
 
 
 def leibniz_gap(f, g, alpha, p, spec):
@@ -635,12 +631,12 @@ def leibniz_gap(f, g, alpha, p, spec):
     fg = product(f, g)
 
     def run(quad):
-        a, ea = _lp_norm_of_operator(g, f, alpha, p, quad)
-        b, eb = _lp_norm_of_operator(f, g, alpha, p, quad)
+        (a,), (ea,) = _dalpha_norms(g, (alpha,), quad, p, f)
+        (b,), (eb,) = _dalpha_norms(f, (alpha,), quad, p, g)
         if fg.sup_norm == 0.0:
             c, ec = 0.0, 0.0
         else:
-            c, ec = _lp_norm_of_operator(fg, None, alpha, p, quad)
+            (c,), (ec,) = _dalpha_norms(fg, (alpha,), quad, p)
         return [a + b - c], [ea + eb + ec]
 
     return replace(_two_resolution(run, spec)[0], converged=True)

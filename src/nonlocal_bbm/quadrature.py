@@ -138,9 +138,9 @@ def _cached_sphere_rule(n, order):
         upper = np.column_stack([np.cos(theta), np.sin(theta)])
         nodes = np.concatenate([upper, -upper])
         weights = np.concatenate([w, w])
-    elif n == 3:
-        # Polar angle: Gauss-Legendre on [0, pi/2] (mirrored), azimuth: 8
-        # Gauss-Legendre arcs.  Kinks of |w . e| for axis-aligned e fall on
+    else:
+        # n = 3.  Polar angle: Gauss-Legendre on [0, pi/2], mirrored; azimuth:
+        # 8 Gauss-Legendre arcs.  Kinks of |w . e| for axis-aligned e fall on
         # panel boundaries, so those integrands are integrated exactly.
         n_theta = max(4, -(-order // 2))
         n_phi = max(2, -(-order // 4))
@@ -157,8 +157,6 @@ def _cached_sphere_rule(n, order):
         w = np.outer(w_theta * st, w_phi).ravel()
         nodes = np.concatenate([upper, -upper])
         weights = np.concatenate([w, w])
-    else:
-        raise ValueError(f"unsupported dimension {n} for sphere rules")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return SphereRule(dim=n, nodes=nodes, weights=weights)

@@ -250,6 +250,40 @@ def test_composed_schedule_at_half_is_config_error(tmp_path, capsys):
     }, ["'schedule'"])
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("sweep", "pointwise"), ("sweep", "seminorm"), ("audit", "pointwise"),
+])
+def test_p_other_than_one_where_it_is_not_used_is_config_error(tmp_path, capsys, command, kind):
+    # these modes compute at p = 1 only; a p = 2 there is not silently dropped
+    _expect_config_error(tmp_path, capsys, command, {
+        "field": {"name": "bump"}, "points": [[0.1, 0.0]], "sweep_kind": kind, "p": 2,
+    }, ["'p'"])
+
+
+@pytest.mark.parametrize("base", [{"params": {}}, "bump", {"name": "bump", "scale": 2}])
+def test_malformed_modulated_base_is_config_error(tmp_path, capsys, base):
+    _expect_config_error(tmp_path, capsys, "sweep", {
+        "field": {"name": "modulated_bump", "params": {"base": base}}, "points": [[0.1, 0.0]],
+    }, ["'field'", "'base'"])
+
+
+def test_composed_sweep_at_large_p_runs(tmp_path):
+    # K_{2,120} needs Gamma(61): beyond gamma_fn's range, formed from log-gamma
+    cfgp = _write_config(tmp_path / "c.json", {
+        "dimension": 2, "field": {"name": "bump"}, "points": [[0.2, 0.1]],
+        "sweep_kind": "composed", "p": 120, "schedule": [0.9, 0.99],
+        "quadrature": {
+            "inner_shells": 8, "outer_shells": 6,
+            "gauss_order": 8, "sphere_order": 16,
+            "target_rel_error": 1e-2,
+        },
+        "outputs": {"csv": "r.csv", "json": "r.json"},
+    })
+    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path)]) in (0, 1)
+    rows = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2
+
+
 @pytest.mark.parametrize("doc, name", [
     ({"p": float("nan")}, "'p'"),
     ({"p": float("inf")}, "'p'"),

@@ -66,6 +66,25 @@ def test_bbm_constant_p_known_values():
     assert bbm_constant_p(3, 2.0) == pytest.approx(math.sqrt(2.0 * math.pi / 3.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [99.0, 120.0, 1000.0])
+def test_bbm_constant_p_beyond_the_gamma_range(n, p):
+    # (n + p)/2 > 50 is outside gamma_fn's range; K_{n,p} still holds
+    mpmath.mp.dps = 30
+    q = mpmath.mpf(p)
+    moment = (2 * mpmath.pi ** (mpmath.mpf(n - 1) / 2) * mpmath.gamma((q + 1) / 2)
+              / mpmath.gamma((n + q) / 2))
+    assert bbm_constant_p(n, p) == pytest.approx(float((moment / q) ** (1 / q)), rel=1e-14)
+
+
+def test_bbm_constant_p_keeps_the_gamma_form_in_range():
+    # the log-gamma form is used only where gamma_fn is out of range
+    for n, p in ((2, 98.0), (3, 97.0), (2, 2.5)):
+        moment = (2.0 * math.pi ** ((n - 1) / 2.0) * gamma_fn((p + 1) / 2.0)
+                  / gamma_fn((n + p) / 2.0))
+        assert bbm_constant_p(n, p) == (moment / p) ** (1.0 / p)
+
+
 def test_riesz_constant_known_values():
     assert riesz_constant(2, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
     assert riesz_constant(3, 1.0) == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-13)

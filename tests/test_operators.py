@@ -28,10 +28,9 @@ from nonlocal_bbm.operators import (
     riesz_potential,
     _DalphaField,
     _SupportGridKernel,
-    _lp_norm_of_operator,
+    _dalpha_norms,
     _outer_integral,
     _root,
-    _seminorm_value,
 )
 from nonlocal_bbm.quadrature import (
     QuadratureSpec,
@@ -389,8 +388,9 @@ def test_leibniz_dimension_mismatch():
 def test_seminorm_and_plain_operator_norm_share_one_outer_integral(h):
     # at p = 1 the unweighted L^1 norm of D^alpha h is the seminorm itself
     spec = fast_spec(2)
-    (value,), (hard,) = _seminorm_value(h, (0.7,), spec)
-    assert _lp_norm_of_operator(h, None, 0.7, 1.0, spec) == (value, hard)
+    D = _DalphaField(h, (0.7,), spec)
+    (value,), (hard,) = _outer_integral(D, 2.0**spec.outer_shells * D.envelope_radius, spec)
+    assert _dalpha_norms(h, (0.7,), spec) == ([value], [hard])
 
 
 def test_operator_norm_bound_is_in_root_units():
@@ -400,7 +400,7 @@ def test_operator_norm_bound_is_in_root_units():
     spec = fast_spec(2)
     D = _DalphaField(fg, (0.5,), spec, 2.0)
     (_,), (raw,) = _outer_integral(D, 2.0**spec.outer_shells * D.envelope_radius, spec)
-    value, hard = _lp_norm_of_operator(fg, None, 0.5, 2.0, spec)
+    (value,), (hard,) = _dalpha_norms(fg, (0.5,), spec, 2.0)
     assert value == pytest.approx(1.30672, rel=1e-5)
     assert raw == pytest.approx(7.56e-4, rel=1e-3)
     assert hard == raw * value ** (1.0 - 2.0) / 2.0
