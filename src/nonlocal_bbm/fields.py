@@ -88,14 +88,16 @@ def _estimate_norms(n, ev, gr, radius):
 
 def _sq_dist(x, c):
     """|x - c|^2 over the last axis of x, one coordinate column x[..., j] at
-    a time.  A broadcast x - c over the short last axis costs more than the
-    rest of a bump; the columns give the same sums in any memory layout,
-    and a single point of shape (n,) gives a 0-d array."""
+    a time, with no subtraction where c[j] = 0: x - 0 is x to the last bit.
+    A broadcast x - c costs more than the rest of a bump; the columns give
+    the same sums in any layout, and a point of shape (n,) a 0-d array."""
     t = np.empty(x.shape[:-1])
     d = np.empty_like(t)
-    np.square(np.subtract(x[..., 0], c[0], out=t), out=t)
-    for j in range(1, c.size):
-        t += np.square(np.subtract(x[..., j], c[j], out=d), out=d)
+    for j in range(c.size):
+        xj = x[..., j] if c[j] == 0.0 else np.subtract(x[..., j], c[j], out=d)
+        np.square(xj, out=d if j else t)
+        if j:
+            t += d
     return t
 
 

@@ -13,19 +13,19 @@ tail substitutions.
 The inner D^alpha engine takes a tuple of alphas.  The quadrature nodes
 depend only on the spec and the evaluation point, so all alphas of a sweep
 share one field evaluation per node and differ only in their radial weights
-and in the closed-form core and tail.  Its chunking and reduction order are
-set by the spec alone, which makes a point's value independent of the batch
-it was evaluated in.  A row with f(x) = 0 skips every panel whose nodes all
-lie where f vanishes (the gap below |x| - R0 and the radii beyond |x| + R0):
-such a panel would add an exact 0, so the skip changes no bit.  The
-engine hands the field its shell nodes as a column-major view
-(``_translates``): each coordinate is written, and read back by the field,
-as one contiguous column.  One panel's offsets serve every block of points.
+and in the closed-form core and tail.  Each panel is contracted in one
+``np.einsum`` pass with the sphere weights, then one with the radial
+weights, in blocks of 2^14 nodes; the spec alone sets both, so a point's
+value does not depend on its batch.  A row with f(x) = 0 skips every panel
+whose nodes all lie where f vanishes (below |x| - R0 or beyond |x| + R0):
+such a panel would add an exact 0, so the skip changes no bit.  Offsets and
+translates (``_translates``) are column-major, one contiguous column per
+coordinate, and one panel's offsets serve every block of points.
 
 The layers above it take the same tuple.  ``_DalphaField`` returns one
 column per alpha, and its support-grid kernel forms log |y - z|^2 once
 per cache-sized chunk for all exponents, takes each power as the
-exponential of a multiple of that log, and reduces each row on its own in
+exponential of a multiple of that log, and sums each row in one pass in
 an order the grid alone sets, so a far row's value does not depend on its
 batch either.  ``_riesz_value``'s nodes do not depend on alpha.  So a
 composed sweep, a seminorm sweep and the audit's composed and seminorm rows
@@ -33,6 +33,7 @@ each run one D^alpha field pass and one Riesz ladder per resolution for the
 whole schedule, and every column keeps the bits of a one-alpha call.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -67,11 +68,11 @@ __all__ = [
 
 _CHUNK_ELEMS = 2**23
 # Nodes per inner-engine chunk and elements per support-grid-kernel chunk:
-# small enough that a chunk's temporaries stay in cache.  With 2^15-node
-# engine chunks, glibc handed the temporaries back to the system and
-# faulted them in again chunk after chunk on composed sweeps (20 times the
-# minor faults of 2^13).  A row's values depend on neither.
-_ENGINE_CHUNK = 2**13
+# small enough that a chunk's temporaries stay in cache.  A row's values
+# depend on neither.  With one-pass contractions, bbmbench composed_near
+# took 0.374, 0.352, 0.385 and 0.438 s per round at 2^13, 2^14, 2^15 and
+# 2^16-node engine chunks (medians of three seeds, one core of a 2-core host).
+_ENGINE_CHUNK = 2**14
 _KERNEL_CHUNK = 2**15
 
 
@@ -155,9 +156,9 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     per node, contracted with the sphere weights, and only then with one
     radial weight column r^{-1-alpha p} per alpha.  Chunks are one dyadic
     panel of ``gauss_order`` radii by those rows of a block of points that
-    take the panel; the spec alone sets the block size, and every reduction
-    is an element-wise sum in a fixed order, so a row's values depend
-    neither on the other rows of X nor on A.
+    take the panel.  The spec alone sets the block size, and each row's two
+    contractions sum in an order the panel's shape alone sets, so a row's
+    values depend neither on the other rows of X nor on A.
     """
     n = f.dim
     M = X.shape[0]
@@ -206,10 +207,10 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
         s_lin[lo : lo + block] = lin.sum(axis=-1)
     # per block and panel: do all the block's rows take the panel
     full = np.logical_and.reduceat(live, starts, axis=0).tolist()
-    # panels outside blocks: one panel's offsets serve every block, and each
-    # row still takes its panels in ladder order
+    # panels outside blocks: one panel's offsets, column-major, serve every
+    # block, and each row still takes its panels in ladder order
     for j, k in enumerate(range(0, r.size, G)):
-        offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
+        offs = (r[None, k : k + G, None] * rule.nodes.T[:, None, :]).reshape(n, -1).T
         rad = radial[:, k : k + G]
         for b, lo in enumerate(starts):
             # the block's rows that take this panel: a view when all do
@@ -225,9 +226,8 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
             np.abs(vals, out=vals)
             if p != 1.0:
                 vals **= p
-            vals *= rule.weights
-            ang = vals.sum(axis=-1)
-            acc[rows] += (ang[:, None, :] * rad).sum(axis=-1)
+            ang = np.einsum("igs,s->ig", vals, rule.weights)
+            acc[rows] += np.einsum("ig,ag->ia", ang, rad)
 
     total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     total += (np.abs(fx) ** p)[:, None] * np.array([sigma * R_big ** (-a) / a for a in ap])
@@ -253,10 +253,11 @@ def _frac_derivative_schedule(f, alphas, p, x, spec):
 
 def _estimate(v1, v0, hard, spec):
     """OperatorValue of v1 whose estimate is the difference against the
-    half-resolution value v0 plus the hard bound; converged means the
-    estimate meets the spec's relative target."""
+    half-resolution value v0 plus the hard bound; converged means both are
+    finite and the estimate meets the spec's relative target."""
     est = abs(v1 - v0) + hard
-    return OperatorValue(v1, est, est <= spec.target_rel_error * abs(v1) + 1e-300)
+    ok = math.isfinite(v1) and math.isfinite(est)
+    return OperatorValue(v1, est, ok and est <= spec.target_rel_error * abs(v1) + 1e-300)
 
 
 def _two_resolution(run, spec):
@@ -281,7 +282,9 @@ class _SupportGridKernel:
     """The support-box convolutions y -> sum_z c_z |y - z|^e, one column per
     exponent e of ``expos``, where c_z is the tensor Gauss weight of an
     ``order``^n grid over [-R0, R0]^n times ``density(z)``.  For y away from
-    the support the integrand is smooth, so a fixed grid serves."""
+    the support the integrand is smooth, so a fixed grid serves.  Each
+    row's sum over z is one ``np.einsum`` pass in an order the grid alone
+    sets; y - z is a copy of y less z, a broadcast subtract's bits for less."""
 
     def __init__(self, f, order, density, expos):
         R0 = f.support_radius
@@ -308,16 +311,17 @@ class _SupportGridKernel:
             Yb = Y[i : i + rows]
             d2, t = d2_buf[: Yb.shape[0]], t_buf[: Yb.shape[0]]
             # |y - z|^2 coordinate by coordinate, formed once for all exponents
-            np.square(np.subtract(Yb[:, None, 0], self.Z[None, :, 0], out=d2), out=d2)
-            for j in range(1, Y.shape[1]):
-                np.subtract(Yb[:, None, j], self.Z[None, :, j], out=t)
-                d2 += np.square(t, out=t)
+            for j in range(Y.shape[1]):
+                np.copyto(t, Yb[:, None, j])
+                t -= self.Z[:, j]
+                np.square(t, out=t if j else d2)
+                if j:
+                    d2 += t
             # one log for all exponents: |y - z|^e = exp((e/2) log |y - z|^2)
             np.log(d2, out=d2)
             for k, e in enumerate(self.expos):
                 np.exp(np.multiply(d2, e / 2.0, out=t), out=t)
-                t *= self.c
-                out[i : i + rows, k] = t.sum(axis=1)
+                out[i : i + rows, k] = np.einsum("rz,z->r", t, self.c)
         return out
 
 
@@ -542,7 +546,8 @@ def _bbm_schedule(f, alphas, p, x, spec):
     for alpha, raw in zip(alphas, raws):
         factor = (1.0 - alpha) ** (1.0 / p)
         value, est = factor * raw.value, factor * raw.error_estimate
-        converged = est <= max(spec.target_rel_error, 1e-3) * abs(value) + 1e-300
+        ok = math.isfinite(value) and math.isfinite(est)
+        converged = ok and est <= max(spec.target_rel_error, 1e-3) * abs(value) + 1e-300
         note = "" if converged else "outer differencing above target"
         out.append(OperatorValue(value, est, converged, note))
     return out

@@ -37,6 +37,10 @@ FIELDS = {
     "modulated_bump": modulated_bump(2, [2.0, 0.0]),
 }
 ALPHAS = (0.3, 0.5, 0.7, 0.9, 0.99)
+FIELDS_3D = {"bump": bump(3), "poly_bump": poly_bump(3, k=4)}
+# 8 radii x 4,608 sphere nodes: one row's panel exceeds _ENGINE_CHUNK, so
+# each engine block holds one row
+WIDE_SPEC = dataclasses.replace(SPEC, sphere_order=48)
 
 coords = st.floats(min_value=-1.2, max_value=1.2, allow_nan=False)
 
@@ -50,12 +54,32 @@ coords = st.floats(min_value=-1.2, max_value=1.2, allow_nan=False)
     p=st.sampled_from([1.0, 2.0]),
 )
 def test_row_value_does_not_depend_on_batch(name, size, seed, picks, p):
-    f = FIELDS[name]
-    X = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(size, 2))
-    vals, errs = _dalpha_integral_batch(f, ALPHAS, X, SPEC, p=p, r_max=R_MAX)
+    _check_rows_alone(FIELDS[name], SPEC, size, seed, picks, p)
+
+
+@pytest.mark.parametrize("spec", [SPEC, WIDE_SPEC], ids=["sphere16", "sphere48"])
+@settings(max_examples=5, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIELDS_3D)),
+    size=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    picks=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
+    p=st.sampled_from([1.0, 2.0]),
+)
+def test_row_value_does_not_depend_on_batch_3d(name, spec, size, seed, picks, p):
+    _check_rows_alone(FIELDS_3D[name], spec, size, seed, picks, p)
+
+
+def test_wide_spec_panel_exceeds_one_engine_block():
+    assert WIDE_SPEC.gauss_order * build_sphere_rule(3, WIDE_SPEC.sphere_order).size > _ENGINE_CHUNK
+
+
+def _check_rows_alone(f, spec, size, seed, picks, p):
+    X = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(size, f.dim))
+    vals, errs = _dalpha_integral_batch(f, ALPHAS, X, spec, p=p, r_max=R_MAX)
     assert vals.shape == errs.shape == (size, len(ALPHAS))
     for i in sorted({k % size for k in picks}):
-        alone, alone_err = _dalpha_integral_batch(f, ALPHAS, X[i : i + 1], SPEC, p=p, r_max=R_MAX)
+        alone, alone_err = _dalpha_integral_batch(f, ALPHAS, X[i : i + 1], spec, p=p, r_max=R_MAX)
         assert np.array_equal(alone[0], vals[i])
         assert np.array_equal(alone_err[0], errs[i])
 
@@ -70,11 +94,27 @@ def test_row_value_does_not_depend_on_batch(name, size, seed, picks, p):
     p=st.sampled_from([1.0, 2.0]),
 )
 def test_alpha_column_matches_scalar_call(name, x, alphas, p):
-    f = FIELDS[name]
-    X = np.array([x, (0.1, -0.2)])
-    vals, errs = _dalpha_integral_batch(f, tuple(alphas), X, SPEC, p=p)
+    _check_alpha_columns(FIELDS[name], SPEC, np.array([x, (0.1, -0.2)]), alphas, p)
+
+
+@pytest.mark.parametrize("spec", [SPEC, WIDE_SPEC], ids=["sphere16", "sphere48"])
+@settings(max_examples=5, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIELDS_3D)),
+    x=st.tuples(coords, coords, coords),
+    alphas=st.lists(
+        st.floats(min_value=0.05, max_value=0.999), min_size=1, max_size=4, unique=True
+    ),
+    p=st.sampled_from([1.0, 2.0]),
+)
+def test_alpha_column_matches_scalar_call_3d(name, spec, x, alphas, p):
+    _check_alpha_columns(FIELDS_3D[name], spec, np.array([x, (0.1, -0.2, 0.3)]), alphas, p)
+
+
+def _check_alpha_columns(f, spec, X, alphas, p):
+    vals, errs = _dalpha_integral_batch(f, tuple(alphas), X, spec, p=p)
     for k, a in enumerate(alphas):
-        one, one_err = _dalpha_integral_batch(f, (a,), X, SPEC, p=p)
+        one, one_err = _dalpha_integral_batch(f, (a,), X, spec, p=p)
         assert np.array_equal(one[:, 0], vals[:, k])
         assert np.array_equal(one_err[:, 0], errs[:, k])
 
@@ -136,9 +176,8 @@ def _engine_without_skip(f, alphas, X, spec, p, r_max=None):
             np.abs(vals, out=vals)
             if p != 1.0:
                 vals **= p
-            vals *= rule.weights
-            ang = vals.sum(axis=-1)
-            acc[lo : lo + block] += (ang[:, None, :] * radial[:, k : k + G]).sum(axis=-1)
+            ang = np.einsum("igs,s->ig", vals, rule.weights)
+            acc[lo : lo + block] += np.einsum("ig,ag->ia", ang, radial[:, k : k + G])
     total = lin.sum(axis=-1)[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     total += (np.abs(fx) ** p)[:, None] * np.array([sphere_area(n) * r_max ** (-a) / a for a in ap])
     return total

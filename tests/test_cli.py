@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonlocal_bbm import cli
@@ -190,6 +191,21 @@ def test_exit_code_is_1_exactly_when_a_row_fails(tmp_path, command, kind):
     lines = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert code == (1 if any(line.split(",")[-1] == "0" for line in lines) else 0)
     assert code == (0 if command == "constants" else 1)
+
+
+def test_eval_with_an_infinite_value_fails_its_row(tmp_path):
+    # at p = 25 and the default quadrature the value overflows to inf, and a
+    # non-finite value never counts as converged
+    cfgp = _write_config(tmp_path / "c.json", {
+        "dimension": 2, "field": {"name": "bump"}, "p": 25,
+        "points": [[0.2, 0.1]], "schedule": [0.99],
+        "outputs": {"csv": "e.csv", "json": "e.json"},
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["eval", "--config", cfgp, "--out", str(tmp_path)])
+    (line,) = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert line.split(",")[-1] == "0"
+    assert code == 1
 
 
 def test_json_summary_round_trips(tmp_path):

@@ -29,6 +29,7 @@ from nonlocal_bbm.operators import (
     _DalphaField,
     _SupportGridKernel,
     _dalpha_norms,
+    _estimate,
     _outer_integral,
     _root,
 )
@@ -75,6 +76,18 @@ def test_alpha_and_p_validation():
 def test_p_outside_one_to_infinity_rejected(entry, p):
     with pytest.raises(ValueError, match="p must be a finite number >= 1"):
         entry(bump(2), p)
+
+
+def test_non_finite_value_or_estimate_never_converges():
+    # at p = 25 the innermost radial weight overflows and the value is inf;
+    # inf <= target * inf would otherwise hold
+    with np.errstate(over="ignore", invalid="ignore"):
+        ov = frac_derivative_p(bump(2), 0.99, 25, (0.2, 0.1), default_spec(2))
+    assert not math.isfinite(ov.value) and not ov.converged
+    spec = fast_spec(2)
+    for v1, v0, hard in ((math.inf, math.inf, 0.0), (1.0, 1.0, math.inf), (math.nan, 1.0, 0.0)):
+        assert not _estimate(v1, v0, hard, spec).converged
+    assert _estimate(1.0, 1.0, 0.0, spec).converged
 
 
 def test_root_bound_at_zero_bounds_any_root():
