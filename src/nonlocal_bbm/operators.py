@@ -13,14 +13,17 @@ tail substitutions.
 The inner D^alpha engine takes a tuple of alphas.  The quadrature nodes
 depend only on the spec and the evaluation point, so all alphas of a sweep
 share one field evaluation per node and differ only in their radial weights
-and in the closed-form core and tail.  Each panel is contracted in one
-``np.einsum`` pass with the sphere weights, then one with the radial
-weights, in blocks of 2^14 nodes; the spec alone sets both, so a point's
-value does not depend on its batch.  A row with f(x) = 0 skips every panel
-whose nodes all lie where f vanishes (below |x| - R0 or beyond |x| + R0):
-such a panel would add an exact 0, so the skip changes no bit.  Offsets and
-translates (``_translates``) are column-major, one contiguous column per
-coordinate, and one panel's offsets serve every block of points.
+and in the closed-form core and tail.  The engine works in passes of at
+most ``_ENGINE_CHUNK`` nodes, one block of rows times one run of radii.
+Each (row, radius) is contracted in one ``np.einsum`` pass with the sphere
+weights, then each panel in one with the radial weights, in ladder order;
+neither sum depends on how far a pass reaches, so a point's value depends
+neither on its batch nor on the passes.  A row with f(x) = 0 skips every
+panel whose nodes all lie where f vanishes (below |x| - R0 or beyond
+|x| + R0): such a panel would add an exact 0, so the skip changes no bit.
+A pass's offsets are C-contiguous (n, K), one contiguous row per
+coordinate, and serve every block of points; its translates
+(``_translates``) are column-major, one contiguous column per coordinate.
 
 The layers above it take the same tuple.  ``_DalphaField`` returns one
 column per alpha, and its support-grid kernel forms log |y - z|^2 once
@@ -67,11 +70,19 @@ __all__ = [
 ]
 
 _CHUNK_ELEMS = 2**23
-# Nodes per inner-engine chunk and elements per support-grid-kernel chunk:
-# small enough that a chunk's temporaries stay in cache.  A row's values
-# depend on neither.  With one-pass contractions, bbmbench composed_near
-# took 0.374, 0.352, 0.385 and 0.438 s per round at 2^13, 2^14, 2^15 and
-# 2^16-node engine chunks (medians of three seeds, one core of a 2-core host).
+# The inner engine's budget, small enough that a pass's temporaries stay in
+# cache.  A pass is one block of rows times one run of radii.  A block holds
+# _ENGINE_CHUNK // (gauss_order x sphere nodes) rows, at least one.  Blocks
+# of several rows take one panel a pass; a batch under one block takes as
+# many whole panels as fit; a row whose one panel exceeds the budget takes it
+# in runs of radii that divide gauss_order, and never in runs of one radius:
+# numpy sums a lone (row, radius) of over 8,192 sphere nodes in buffered
+# pieces, which would move its bits.  So a pass exceeds the budget only when
+# two radii do (high_spec(3): 2 x 18,432 nodes).  A row's values do not
+# depend on the budget.  bbmbench composed_near took 0.374, 0.352, 0.385 and
+# 0.438 s per round at 2^13, 2^14, 2^15 and 2^16 (medians of three seeds, one
+# core of a 2-core host).  _KERNEL_CHUNK is the support-grid kernel's chunk
+# in elements, and a row's values do not depend on it either.
 _ENGINE_CHUNK = 2**14
 _KERNEL_CHUNK = 2**15
 
@@ -126,15 +137,16 @@ def _as_point(x, n):
     return np.asarray(x, dtype=float).reshape(n)
 
 
-def _translates(X, offs):
-    """The (M * K, n) array of X[i] + offs[j] for X (M, n) and offs (K, n),
-    as a column-major view: each coordinate is filled and later read as one
-    contiguous column.  A broadcast add over the short last axis is several
-    times slower, and gives the same sums."""
+def _translates(X, offs, buf):
+    """The (M * K, n) array of X[i] + offs[:, j] for X (M, n) and C-contiguous
+    offsets offs (n, K), as a column-major view into the flat buffer ``buf``:
+    each coordinate is filled from one contiguous row of offs and later read
+    as one contiguous column.  A broadcast add over the short last axis is
+    several times slower, and gives the same sums."""
     M, n = X.shape
-    P = np.empty((n, M, offs.shape[0]))
+    P = buf[: n * M * offs.shape[1]].reshape(n, M, -1)
     for j in range(n):
-        np.add(X[:, j, None], offs[None, :, j], out=P[j])
+        np.add(X[:, j, None], offs[j], out=P[j])
     return P.reshape(n, -1).T
 
 
@@ -154,11 +166,11 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
 
     The alphas share the quadrature nodes: |f(x)-f(y)|^p is evaluated once
     per node, contracted with the sphere weights, and only then with one
-    radial weight column r^{-1-alpha p} per alpha.  Chunks are one dyadic
-    panel of ``gauss_order`` radii by those rows of a block of points that
-    take the panel.  The spec alone sets the block size, and each row's two
-    contractions sum in an order the panel's shape alone sets, so a row's
-    values depend neither on the other rows of X nor on A.
+    radial weight column r^{-1-alpha p} per alpha.  Passes are those rows of
+    a block of points that take its panels, times a run of radii (see
+    ``_ENGINE_CHUNK``).  Each row's sphere sums run over one radius and its
+    radial sums over one panel, in ladder order, so a row's values depend
+    neither on the other rows of X, nor on A, nor on the passes.
     """
     n = f.dim
     M = X.shape[0]
@@ -196,9 +208,10 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
     live = (fx != 0.0)[:, None] | (
         (xn[:, None] - pan[:, -1] < edge) & (pan[:, 0] - xn[:, None] < edge)
     )
+    S = rule.size
     s_lin = np.empty(M)
     acc = np.zeros((M, len(ap)))
-    block = max(1, _ENGINE_CHUNK // (G * rule.size))
+    block = max(1, _ENGINE_CHUNK // (G * S))
     starts = range(0, M, block)
     for lo in starts:
         # analytic core on (0, delta): |grad f(x).h|^p integrates in closed form
@@ -207,13 +220,40 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
         s_lin[lo : lo + block] = lin.sum(axis=-1)
     # per block and panel: do all the block's rows take the panel
     full = np.logical_and.reduceat(live, starts, axis=0).tolist()
-    # panels outside blocks: one panel's offsets, column-major, serve every
-    # block, and each row still takes its panels in ladder order
-    for j, k in enumerate(range(0, r.size, G)):
-        offs = (r[None, k : k + G, None] * rule.nodes.T[:, None, :]).reshape(n, -1).T
-        rad = radial[:, k : k + G]
+    # the passes (see _ENGINE_CHUNK), each some panels js and a run g0:g1 of
+    # their radii
+    run = _ENGINE_CHUNK // (max(1, min(M, block)) * S)
+    if run > G:
+        # a batch under one block: runs of live panels that the same rows
+        # take, at most run // G of them
+        idx = np.flatnonzero(live.any(axis=0))
+        cut = np.ones(idx.size, dtype=bool)
+        cut[1:] = np.any(live[:, idx[1:]] != live[:, idx[:-1]], axis=0)
+        k = np.arange(idx.size)
+        cut |= (k - np.maximum.accumulate(np.where(cut, k, 0))) % (run // G) == 0
+        passes = [(js, 0, G) for js in np.split(idx, np.flatnonzero(cut))[1:]]
+    else:
+        divisors = [d for d in range(2, G + 1) if G % d == 0]
+        run = max([d for d in divisors if d <= run], default=divisors[0])
+        passes = [([j], g, g + run) for j in range(pan.shape[0]) for g in range(0, G, run)]
+    # the angular sums of a panel taken in several runs, until it is complete
+    open_sums = np.empty((M, G)) if run < G else None
+    nodes = np.ascontiguousarray(rule.nodes.T)
+    # one workspace holds every pass's offsets, C-contiguous (n, K), and
+    # translates: fresh arrays per pass made the allocator hand pages back
+    # and fault them in again, pass after pass
+    K = S * max((len(js) * (g1 - g0) for js, g0, g1 in passes), default=0)
+    work = np.empty(n * K * (1 + min(M, block)))
+    for js, g0, g1 in passes:
+        j = js[0]
+        radii = pan[js, g0:g1].ravel()
+        offs = work[: n * radii.size * S].reshape(n, radii.size, S)
+        np.einsum("js,g->jgs", nodes, radii, out=offs)
+        offs = offs.reshape(n, -1)
+        # one pass's offsets serve every block, and each row still takes its
+        # panels in ladder order
         for b, lo in enumerate(starts):
-            # the block's rows that take this panel: a view when all do
+            # the block's rows that take the pass's panels: a view when all do
             if full[b][j]:
                 rows = slice(lo, lo + block)
             else:
@@ -221,13 +261,21 @@ def _dalpha_integral_batch(f, alphas, X, spec, p=1.0, r_max=None):
             Xk, fxk = X[rows], fx[rows]
             if Xk.shape[0] == 0:
                 continue
-            vals = f.eval(_translates(Xk, offs)).reshape(Xk.shape[0], G, rule.size)
+            Y = _translates(Xk, offs, work[n * K :])
+            vals = f.eval(Y).reshape(Xk.shape[0], radii.size, S)
             vals -= fxk[:, None, None]
             np.abs(vals, out=vals)
             if p != 1.0:
                 vals **= p
             ang = np.einsum("igs,s->ig", vals, rule.weights)
-            acc[rows] += np.einsum("ig,ag->ia", ang, rad)
+            if g1 - g0 < G:
+                open_sums[rows, g0:g1] = ang
+                if g1 < G:
+                    continue
+                ang = open_sums[rows]
+            for i, jp in enumerate(js):
+                rad = radial[:, jp * G : (jp + 1) * G]
+                acc[rows] += np.einsum("ig,ag->ia", ang[:, i * G : (i + 1) * G], rad)
 
     total = s_lin[:, None] * np.array([delta**qa / qa for qa in q]) + acc
     total += (np.abs(fx) ** p)[:, None] * np.array([sigma * R_big ** (-a) / a for a in ap])

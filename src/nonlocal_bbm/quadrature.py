@@ -242,7 +242,15 @@ class QuadratureSpec:
             raise ValueError(f"target_rel_error must be finite and > 0, got {t!r}")
 
     def halved(self):
-        """Spec at half resolution, used for a-posteriori differencing."""
+        """Spec at half resolution, used for a-posteriori differencing.
+
+        Each order halves down to its floor, so a coarse spec may keep part
+        of its resolution: ``gauss_order`` 8 stays 8 (``fast_spec``), and in
+        2-D sphere orders 16 and 8 build the same 16-node rule.  At 12/8/8/16
+        both resolutions then share the angular rule and the Gauss order, and
+        their difference sees only the shell counts.  Every preset halves its
+        sphere rule to a strictly smaller one.
+        """
         return replace(
             self,
             inner_shells=max(4, self.inner_shells // 2),

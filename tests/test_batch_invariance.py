@@ -2,7 +2,8 @@
 it: not on the other rows of X, not on the other alphas of the call, and not
 on the CLI's thread count.  A sweep's row does not depend on the other alphas
 of its schedule.  The shell engine's values do not depend on the panels it
-skips.  All comparisons are bit for bit."""
+skips, nor on how its budget lays out its passes.  All comparisons are bit
+for bit."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nonlocal_bbm import operators
 from nonlocal_bbm.cli import main
 from nonlocal_bbm.constants import sphere_area
 from nonlocal_bbm.fields import bump, modulated_bump, poly_bump
@@ -27,7 +29,13 @@ from nonlocal_bbm.operators import (
     riesz_of_field_values,
     riesz_potential,
 )
-from nonlocal_bbm.quadrature import QuadratureSpec, build_sphere_rule, fast_spec, radial_ladder
+from nonlocal_bbm.quadrature import (
+    QuadratureSpec,
+    build_sphere_rule,
+    default_spec,
+    fast_spec,
+    radial_ladder,
+)
 
 SPEC = QuadratureSpec(inner_shells=10, outer_shells=8, gauss_order=8, sphere_order=16)
 R_MAX = 3.5
@@ -171,7 +179,8 @@ def _engine_without_skip(f, alphas, X, spec, p, r_max=None):
         Xb, fxb = X[lo : lo + block], fx[lo : lo + block]
         for k in range(0, r.size, G):
             offs = (r[k : k + G, None, None] * rule.nodes).reshape(-1, n)
-            vals = f.eval(_translates(Xb, offs)).reshape(Xb.shape[0], G, rule.size)
+            Y = _translates(Xb, np.ascontiguousarray(offs.T), np.empty(Xb.size * offs.shape[0]))
+            vals = f.eval(Y).reshape(Xb.shape[0], G, rule.size)
             vals -= fxb[:, None, None]
             np.abs(vals, out=vals)
             if p != 1.0:
@@ -215,6 +224,49 @@ def test_panel_skip_evaluates_fewer_points_outside_the_support():
         counts.append(0)
         _dalpha_integral_batch(f, ALPHAS, np.array([x]), SPEC, r_max=R_MAX)
     assert counts[1] < counts[0]
+
+
+# the composed_near benchmark's spec: 300 rows of it span many multi-row
+# blocks at every budget below
+NEAR_SPEC = QuadratureSpec(inner_shells=12, outer_shells=8, gauss_order=8, sphere_order=16)
+LAYOUT_FIELDS = [bump(2), modulated_bump(2, [2.0, 0.0]), bump(3), poly_bump(3, k=4)]
+
+
+@pytest.mark.parametrize("f", LAYOUT_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("r_max", [None, R_MAX])
+@pytest.mark.parametrize("rows", [1, 300])
+def test_pass_layout_keeps_every_bit(f, p, r_max, rows, monkeypatch):
+    # the budget moves every pass: whole panels, several panels, runs of
+    # radii, blocks of one to many rows; no value or bound may move a bit
+    if rows == 1:
+        spec, X = default_spec(f.dim), np.array([[0.3, -0.2, 0.1][: f.dim]])
+    else:
+        spec = NEAR_SPEC
+        X = np.random.default_rng(17).uniform(-1.2, 1.2, size=(rows, f.dim))
+    runs = []
+    for chunk in (2**10, 2**12, 2**14, 2**16):
+        monkeypatch.setattr(operators, "_ENGINE_CHUNK", chunk)
+        runs.append(_dalpha_integral_batch(f, ALPHAS, X, spec, p=p, r_max=r_max))
+    for vals, errs in runs[1:]:
+        assert np.array_equal(vals, runs[0][0])
+        assert np.array_equal(errs, runs[0][1])
+
+
+def test_one_row_pass_stays_within_the_engine_budget():
+    # a 3-D default_spec panel holds 16 x 4,608 = 73,728 nodes; one row
+    # takes it in runs of radii that fit the budget
+    f0 = poly_bump(3, k=4)
+    sizes = []
+
+    def counting(Y):
+        sizes.append(Y.shape[0])
+        return f0.eval(Y)
+
+    f = dataclasses.replace(f0, eval=counting)
+    _dalpha_integral_batch(f, ALPHAS, np.array([[0.3, -0.2, 0.1]]), default_spec(3))
+    assert len(sizes) > 1
+    assert max(sizes) <= operators._ENGINE_CHUNK
 
 
 @pytest.mark.parametrize("name", ["bump", "modulated_bump"])

@@ -9,8 +9,10 @@ from nonlocal_bbm.quadrature import (
     QuadratureSpec,
     brute_force_grid_oracle,
     build_sphere_rule,
+    composed_spec,
     default_spec,
     fast_spec,
+    high_spec,
     pairwise_sum,
     radial_ladder,
     radial_reduction_oracle,
@@ -103,6 +105,18 @@ def test_spec_halved():
     half = spec.halved()
     assert half.gauss_order < spec.gauss_order
     assert half.sphere_order < spec.sphere_order
+
+
+@pytest.mark.parametrize("preset", [fast_spec, default_spec, high_spec, composed_spec])
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_preset_halves_to_a_smaller_sphere_rule(preset, n):
+    # a spec whose halved rule is the same rule (2-D orders 16 and 8) gives
+    # an estimate blind to the angular error
+    spec = preset(n)
+    assert (
+        build_sphere_rule(n, spec.halved().sphere_order).size
+        < build_sphere_rule(n, spec.sphere_order).size
+    )
 
 
 def test_radial_ladder_integrates_power_kernel():
